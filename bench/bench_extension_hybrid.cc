@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bench/harness.h"
-#include "core/hybrid.h"
+#include "core/planner_backends.h"
 #include "util/logging.h"
 
 namespace qps {
@@ -57,21 +57,21 @@ int Run() {
               neural_run.failures);
 
   for (int threshold : {3, 4, 5}) {
-    core::HybridOptions hopts;
-    hopts.neural_min_relations = threshold;
-    hopts.mcts.time_budget_ms = 200.0;
-    core::HybridPlanner hybrid(&seeker, &pg, hopts);
+    core::GuardedOptions gopts;
+    gopts.hybrid.neural_min_relations = threshold;
+    gopts.hybrid.mcts.time_budget_ms = 200.0;
+    auto hybrid = core::MakePlanner("guarded", &seeker, &pg, gopts).value();
     exec::Executor ex(*env.imdb);
     double total = 0.0;
     int fails = 0, routed = 0;
     for (size_t i = 0; i < eval_queries.size(); ++i) {
       const auto& q = eval_queries[i];
-      auto result = hybrid.Plan(q);
+      auto result = hybrid->Plan(q, {});
       if (!result.ok()) {
         ++fails;
         continue;
       }
-      routed += result->used_neural;
+      routed += result->used_neural();
       auto card = ex.Execute(q, result->plan.get());
       total += card.ok() ? result->plan->actual.runtime_ms
                          : ex.last_counters().RuntimeMs();

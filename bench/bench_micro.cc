@@ -455,6 +455,8 @@ BENCHMARK(BM_MctsRollouts)->Arg(16)->Arg(64);
 // Leaf-parallel MCTS: rollouts/sec at 1/2/4 threads. Batched evaluation
 // (eval_batch auto-scales to 8 * threads) amortizes GEMM weight traffic
 // even on one core; the pool adds real parallelism on multi-core hosts.
+// Timed by wall clock: the pool workers' CPU time is not the calling
+// thread's, so CPU time would overstate the parallel speed-up.
 void BM_MctsRolloutsParallel(benchmark::State& state) {
   auto& fx = ExecFixture::Get();
   auto& mfx = ModelFixture::Get();
@@ -468,7 +470,7 @@ void BM_MctsRolloutsParallel(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * mopts.max_rollouts);
 }
-BENCHMARK(BM_MctsRolloutsParallel)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_MctsRolloutsParallel)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // ---- plan-prediction cache ----------------------------------------------
 

@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "core/hybrid.h"
+#include "core/planner_backends.h"
 #include "core/qpseeker.h"
 #include "eval/workloads.h"
 #include "exec/executor.h"
@@ -54,10 +54,10 @@ int main() {
   auto eval_queries = eval::GenerateWorkload(*db, eo, &erng);
 
   optimizer::Planner baseline(*db, *stats);
-  core::HybridOptions hopts;
-  hopts.neural_min_relations = 4;
-  hopts.mcts.time_budget_ms = 150.0;
-  core::HybridPlanner hybrid(&seeker, &baseline, hopts);
+  core::GuardedOptions gopts;
+  gopts.hybrid.neural_min_relations = 4;
+  gopts.hybrid.mcts.time_budget_ms = 150.0;
+  auto hybrid = core::MakePlanner("guarded", &seeker, &baseline, gopts).value();
 
   exec::Executor ex(*db);
   auto execute = [&](const query::Query& q, query::PlanNode* plan) {
@@ -71,9 +71,9 @@ int main() {
               "hybrid ms", "PG ms", "neural ms");
   for (size_t i = 0; i < eval_queries.size(); ++i) {
     const auto& q = eval_queries[i];
-    auto h = hybrid.Plan(q);
+    auto h = hybrid->Plan(q, {});
     auto p = baseline.Plan(q);
-    core::MctsOptions mopts = hopts.mcts;
+    core::MctsOptions mopts = gopts.hybrid.mcts;
     mopts.seed = 200 + i;
     auto n = core::MctsPlan(seeker, q, mopts);
     if (!h.ok() || !p.ok() || !n.ok()) continue;
@@ -83,9 +83,9 @@ int main() {
     total_hybrid += t_h;
     total_pg += t_p;
     total_neural += t_n;
-    neural_count += h->used_neural;
+    neural_count += h->used_neural();
     std::printf("%-6zu %6zu %8s %12.2f %12.2f %12.2f\n", i, q.joins.size(),
-                h->used_neural ? "neural" : "DP", t_h, t_p, t_n);
+                h->used_neural() ? "neural" : "DP", t_h, t_p, t_n);
   }
   std::printf("\nhybrid routed %d/%zu queries to the neural planner\n", neural_count,
               eval_queries.size());

@@ -7,7 +7,7 @@
 //
 // Usage:
 //   qpsql [--db=imdb|stack|toy] [--rows=N]
-//         [--planner=baseline|neural|hybrid|guarded] [--train-queries=N]
+//         [--planner=baseline|neural|guarded] [--train-queries=N]
 //         [--seed=N] [--v=N] [--threads=N] [--cache-mb=N]
 //         [--quant=int8] [--deadline-ms=D]
 //         [--retry-max=N] [--retry-backoff-ms=D]
@@ -515,7 +515,7 @@ int RunServe(const storage::Database& db, core::QpSeeker* model,
       continue;
     }
     ++executed;
-    if (outcomes[i].result.used_neural) {
+    if (outcomes[i].result.used_neural()) {
       runtime_qerr.push_back(eval::QError(outcomes[i].result.node_stats.runtime_ms,
                                           plan->actual.runtime_ms, 1e-3));
     }

@@ -96,9 +96,8 @@ void GuardedPlanner::MaybeCloseCircuit() {
   }
 }
 
-Status GuardedPlanner::TryNeural(const query::Query& q,
-                                 const PlanRequestOptions& ropts,
-                                 GuardedResult* out) {
+StatusOr<PlanResult> GuardedPlanner::TryNeural(const query::Query& q,
+                                               const PlanRequestOptions& ropts) {
   QPS_TRACE_SPAN("guarded.neural");
   stats_.neural_attempts += 1;
   MctsOptions mopts = options_.hybrid.mcts;
@@ -106,11 +105,7 @@ Status GuardedPlanner::TryNeural(const query::Query& q,
     mopts.time_budget_ms = std::min(mopts.time_budget_ms, options_.neural_deadline_ms);
     mopts.hard_deadline_ms = options_.neural_deadline_ms * options_.deadline_slack;
   }
-  mopts.deadline_ms = ropts.deadline_ms;
-  if (ropts.seed != 0) mopts.seed = ropts.seed;
-  if (ropts.evaluate) mopts.evaluate = ropts.evaluate;
-  mopts.cancel = ropts.cancel;
-  auto mcts = MctsPlan(*model_, q, mopts);
+  auto mcts = MctsPlan(*model_, q, WithRequest(std::move(mopts), ropts));
   if (!mcts.ok()) {
     const Status& st = mcts.status();
     if (st.IsDeadlineExceeded()) {
@@ -134,18 +129,11 @@ Status GuardedPlanner::TryNeural(const query::Query& q,
     }
   }
   stats_.neural_success += 1;
-  out->plan = std::move(mcts->plan);
-  out->stage = PlanStage::kNeural;
-  out->used_neural = true;
-  out->plans_evaluated = mcts->plans_evaluated;
-  out->predicted_runtime_ms = mcts->predicted_runtime_ms;
-  out->deadline_hit = mcts->deadline_hit;
-  return Status::OK();
+  return ToPlanResult(std::move(mcts).value(), PlanStage::kNeural);
 }
 
-Status GuardedPlanner::TryGreedy(const query::Query& q,
-                                 const PlanRequestOptions& ropts,
-                                 GuardedResult* out) {
+StatusOr<PlanResult> GuardedPlanner::TryGreedy(const query::Query& q,
+                                               const PlanRequestOptions& ropts) {
   QPS_TRACE_SPAN("guarded.greedy");
   stats_.greedy_attempts += 1;
   auto greedy = GreedyPlan(*model_, q, ropts.evaluate, ropts.cancel);
@@ -159,17 +147,11 @@ Status GuardedPlanner::TryGreedy(const query::Query& q,
     return st;
   }
   stats_.greedy_success += 1;
-  out->plan = std::move(greedy->plan);
-  out->stage = PlanStage::kGreedy;
-  out->used_neural = true;
-  out->plans_evaluated = greedy->plans_evaluated;
-  out->predicted_runtime_ms = greedy->predicted_runtime_ms;
-  return Status::OK();
+  return ToPlanResult(std::move(greedy).value(), PlanStage::kGreedy);
 }
 
-Status GuardedPlanner::TryTraditional(const query::Query& q,
-                                      const PlanRequestOptions& ropts,
-                                      GuardedResult* out) {
+StatusOr<PlanResult> GuardedPlanner::TryTraditional(
+    const query::Query& q, const PlanRequestOptions& ropts) {
   QPS_TRACE_SPAN("guarded.traditional");
   stats_.traditional_attempts += 1;
   auto plan = baseline_->Plan(q, {}, ropts.cancel);
@@ -180,41 +162,15 @@ Status GuardedPlanner::TryTraditional(const query::Query& q,
     return st;
   }
   stats_.traditional_success += 1;
-  out->plan = std::move(*plan);
-  out->stage = PlanStage::kTraditional;
-  out->used_neural = false;
-  out->plans_evaluated = 0;
-  return Status::OK();
-}
-
-StatusOr<GuardedResult> GuardedPlanner::Plan(const query::Query& q) {
-  return PlanGuarded(q, PlanRequestOptions{});
+  PlanResult result;
+  result.node_stats = (*plan)->estimated;
+  result.plan = std::move(*plan);
+  return result;
 }
 
 StatusOr<PlanResult> GuardedPlanner::Plan(const query::Query& q,
                                           const PlanRequestOptions& ropts) {
   QPS_RETURN_IF_ERROR(CheckPlannable(q));
-  QPS_ASSIGN_OR_RETURN(GuardedResult guarded, PlanGuarded(q, ropts));
-  if (guarded.deadline_hit && ropts.fail_on_deadline) {
-    return Status::DeadlineExceeded("planning deadline expired");
-  }
-  PlanResult result;
-  result.stage = guarded.stage;
-  result.node_stats = guarded.plan->estimated;
-  if (guarded.stage != PlanStage::kTraditional) {
-    result.node_stats.runtime_ms = guarded.predicted_runtime_ms;
-  }
-  result.plan = std::move(guarded.plan);
-  result.plan_ms = guarded.planning_ms;
-  result.plans_evaluated = guarded.plans_evaluated;
-  result.used_neural = guarded.used_neural;
-  result.deadline_hit = guarded.deadline_hit;
-  result.fallback_reason = std::move(guarded.fallback_reason);
-  return result;
-}
-
-StatusOr<GuardedResult> GuardedPlanner::PlanGuarded(
-    const query::Query& q, const PlanRequestOptions& ropts) {
   // An already-cancelled request never enters the ladder (and never counts
   // against the breaker — cancellation is caller-driven, not model health).
   QPS_RETURN_IF_ERROR(util::CheckCancel(ropts.cancel));
@@ -223,17 +179,19 @@ StatusOr<GuardedResult> GuardedPlanner::PlanGuarded(
   stats_.requests += 1;
   gm.requests->Increment();
   Timer timer(&clock());
-  GuardedResult result;
+  std::string fallback_reason;
 
-  auto serve = [&](GuardedResult&& r) {
-    r.planning_ms = timer.ElapsedMillis();
+  auto serve = [&](PlanResult&& r) -> StatusOr<PlanResult> {
+    r.plan_ms = timer.ElapsedMillis();
+    r.fallback_reason = std::move(fallback_reason);
     gm.served[static_cast<int>(r.stage)]->Increment();
     gm.stage_window[static_cast<int>(r.stage)]->Increment();
     if (!r.fallback_reason.empty()) gm.fallbacks->Increment();
-    gm.plan_ms->Record(r.planning_ms);
-    gm.plan_ms_window->Record(r.planning_ms);
+    gm.plan_ms->Record(r.plan_ms);
+    gm.plan_ms_window->Record(r.plan_ms);
     span.AddAttr("stage", PlanStageName(r.stage));
     if (!r.fallback_reason.empty()) span.AddAttr("fallback", r.fallback_reason);
+    QPS_RETURN_IF_ERROR(CheckRequestDeadline(r.deadline_hit, ropts));
     return std::move(r);
   };
 
@@ -246,31 +204,31 @@ StatusOr<GuardedResult> GuardedPlanner::PlanGuarded(
     if (circuit_open_) {
       stats_.circuit_short_circuits += 1;
       gm.circuit_short_circuits->Increment();
-      result.fallback_reason = "circuit open";
+      fallback_reason = "circuit open";
     } else {
-      Status neural = TryNeural(q, ropts, &result);
+      auto neural = TryNeural(q, ropts);
       // A rung tripped by the cancel token ends the ladder: degrading a
       // request nobody is waiting for just burns more CPU. The tripped
       // outcome also stays out of the breaker window — it says nothing
       // about model health.
       if (!neural.ok() && util::Cancelled(ropts.cancel)) return neural;
       RecordNeuralOutcome(neural.ok());
-      if (neural.ok()) return serve(std::move(result));
-      result.fallback_reason = "neural: " + neural.ToString();
-      QPS_VLOG(1) << "guarded: neural rung failed (" << neural.ToString()
-                  << "), degrading to greedy";
-      Status greedy = TryGreedy(q, ropts, &result);
+      if (neural.ok()) return serve(std::move(neural).value());
+      fallback_reason = "neural: " + neural.status().ToString();
+      QPS_VLOG(1) << "guarded: neural rung failed ("
+                  << neural.status().ToString() << "), degrading to greedy";
+      auto greedy = TryGreedy(q, ropts);
       if (!greedy.ok() && util::Cancelled(ropts.cancel)) return greedy;
-      if (greedy.ok()) return serve(std::move(result));
-      result.fallback_reason += "; greedy: " + greedy.ToString();
-      QPS_VLOG(1) << "guarded: greedy rung failed (" << greedy.ToString()
-                  << "), degrading to traditional";
+      if (greedy.ok()) return serve(std::move(greedy).value());
+      fallback_reason += "; greedy: " + greedy.status().ToString();
+      QPS_VLOG(1) << "guarded: greedy rung failed ("
+                  << greedy.status().ToString() << "), degrading to traditional";
     }
   }
 
-  Status traditional = TryTraditional(q, ropts, &result);
+  auto traditional = TryTraditional(q, ropts);
   if (!traditional.ok()) return traditional;
-  return serve(std::move(result));
+  return serve(std::move(traditional).value());
 }
 
 }  // namespace core

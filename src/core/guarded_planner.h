@@ -1,10 +1,16 @@
 // Copyright 2026 The QPSeeker Authors
 //
-// Guarded planning pipeline: HybridPlanner's routing, hardened for serving.
+// The hybrid optimizer — the paper's §7.3 future-work direction: "a
+// possible direction towards hybrid optimizers where a neural planner kicks
+// in for complex queries where traditional optimizers have trouble
+// handling". Simple queries (fewer than `neural_min_relations` relations)
+// go to the statistics-based DP planner, whose estimates are accurate there
+// (Tables 4/5 show PostgreSQL winning on Synthetic); complex queries go to
+// QPSeeker+MCTS, which wins on JOB/Stack-class queries.
+//
 // A learned planner is only deployable when it degrades gracefully on model
-// misbehavior (paper §7.3's hybrid direction taken to production), so every
-// neural plan is validated and score-checked, and failures walk a
-// degradation ladder:
+// misbehavior, so every neural plan is validated and score-checked, and
+// failures walk a degradation ladder:
 //
 //   neural MCTS (deadline-enforced) -> GreedyPlan -> traditional DP planner
 //
@@ -14,24 +20,32 @@
 // planner for `breaker_cooldown_ms`, then closes and neural planning is
 // retried. All transitions and fallbacks are counted in GuardStats.
 //
-// With every fault point disarmed and no failures, the pipeline is
-// behavior-identical to HybridPlanner (same options, same MCTS seed, same
-// plans) — guarded_planner_test asserts byte-identical rendered plans.
+// With every fault point disarmed and no failures, a complex query gets
+// exactly the plan of the "neural" backend (MctsPlanner, same MCTS options
+// and seed) and a simple one exactly the plan of the "baseline" backend —
+// guarded_planner_test asserts byte-identical rendered plans.
 
 #ifndef QPS_CORE_GUARDED_PLANNER_H_
 #define QPS_CORE_GUARDED_PLANNER_H_
 
 #include <deque>
-#include <string>
 
-#include "core/hybrid.h"
+#include "core/mcts.h"
+#include "optimizer/planner.h"
 #include "util/clock.h"
 
 namespace qps {
 namespace core {
 
+/// Routing between the DP planner and MCTS.
+struct HybridOptions {
+  /// Queries with at least this many relations are planned neurally.
+  int neural_min_relations = 4;
+  MctsOptions mcts;
+};
+
 struct GuardedOptions {
-  /// Routing + MCTS options, exactly as HybridPlanner consumes them.
+  /// Routing + MCTS options.
   HybridOptions hybrid;
 
   /// Planning deadline for the neural path (0 = rely on the MCTS time
@@ -56,34 +70,16 @@ struct GuardedOptions {
   const Clock* clock = nullptr;
 };
 
-// PlanStage and GuardStats used to live here; they moved to
-// core/planner_api.h when the unified Planner interface was introduced,
-// since every backend now reports them through PlanResult/guard_stats().
-
-struct GuardedResult {
-  query::PlanPtr plan;
-  PlanStage stage = PlanStage::kTraditional;
-  bool used_neural = false;        ///< model consulted (neural or greedy rung)
-  double planning_ms = 0.0;        ///< whole-ladder planning time
-  int plans_evaluated = 0;
-  double predicted_runtime_ms = 0.0;  ///< model score (neural/greedy rungs)
-  bool deadline_hit = false;       ///< request deadline truncated the search
-  std::string fallback_reason;     ///< empty when the first-choice rung served
-};
-
-/// HybridPlanner with guard rails. Routing is identical (simple queries go
-/// to the DP baseline directly and are not breaker-relevant); complex
-/// queries walk the degradation ladder above.
+/// The hybrid optimizer with guard rails. Simple queries go to the DP
+/// baseline directly and are not breaker-relevant; complex queries walk the
+/// degradation ladder above.
 class GuardedPlanner : public Planner {
  public:
   GuardedPlanner(const QpSeeker* model, const optimizer::Planner* baseline,
                  GuardedOptions options = {});
 
-  /// Legacy entry point; equivalent to Plan(q, {}) with the ladder detail.
-  StatusOr<GuardedResult> Plan(const query::Query& q);
-
-  /// Unified entry point (core::Planner). Per-request deadline, seed, and
-  /// batch evaluator thread into the neural and greedy rungs.
+  /// Per-request deadline, seed, batch evaluator and cancel token thread
+  /// into the neural and greedy rungs.
   StatusOr<PlanResult> Plan(const query::Query& q,
                             const PlanRequestOptions& ropts) override;
 
@@ -108,18 +104,14 @@ class GuardedPlanner : public Planner {
   /// Closes the circuit when the cool-down has elapsed.
   void MaybeCloseCircuit();
 
-  /// Shared ladder walk behind both Plan() overloads.
-  StatusOr<GuardedResult> PlanGuarded(const query::Query& q,
-                                      const PlanRequestOptions& ropts);
-
   /// One rung: plan, validate, score-check. Returns the failure reason or
-  /// OK with `*out` filled.
-  Status TryNeural(const query::Query& q, const PlanRequestOptions& ropts,
-                   GuardedResult* out);
-  Status TryGreedy(const query::Query& q, const PlanRequestOptions& ropts,
-                   GuardedResult* out);
-  Status TryTraditional(const query::Query& q, const PlanRequestOptions& ropts,
-                        GuardedResult* out);
+  /// the rung's plan; the ladder stamps plan_ms and fallback_reason.
+  StatusOr<PlanResult> TryNeural(const query::Query& q,
+                                 const PlanRequestOptions& ropts);
+  StatusOr<PlanResult> TryGreedy(const query::Query& q,
+                                 const PlanRequestOptions& ropts);
+  StatusOr<PlanResult> TryTraditional(const query::Query& q,
+                                      const PlanRequestOptions& ropts);
 
   const QpSeeker* model_;
   const optimizer::Planner* baseline_;

@@ -111,6 +111,26 @@ bool RandomCompletion(const Query& q, std::vector<Action>* actions, Rng* rng) {
 
 }  // namespace
 
+MctsOptions WithRequest(MctsOptions base, const PlanRequestOptions& ropts) {
+  base.deadline_ms = ropts.deadline_ms;
+  if (ropts.seed != 0) base.seed = ropts.seed;
+  if (ropts.evaluate) base.evaluate = ropts.evaluate;
+  base.cancel = ropts.cancel;
+  return base;
+}
+
+PlanResult ToPlanResult(MctsResult mcts, PlanStage stage) {
+  PlanResult result;
+  result.stage = stage;
+  result.node_stats = mcts.plan->estimated;
+  result.node_stats.runtime_ms = mcts.predicted_runtime_ms;
+  result.plan = std::move(mcts.plan);
+  result.plan_ms = mcts.planning_ms;
+  result.plans_evaluated = mcts.plans_evaluated;
+  result.deadline_hit = mcts.deadline_hit;
+  return result;
+}
+
 StatusOr<MctsResult> MctsPlan(const QpSeeker& model, const Query& q,
                               const MctsOptions& opts) {
   QPS_RETURN_IF_ERROR(CheckPlannable(q));
@@ -132,7 +152,7 @@ StatusOr<MctsResult> MctsPlan(const QpSeeker& model, const Query& q,
   const int threads = std::max(1, opts.threads);
   util::ThreadPool* pool = opts.pool;
   std::unique_ptr<util::ThreadPool> owned_pool;
-  if (pool == nullptr && threads > 1) {
+  if (pool == nullptr && threads > 1 && !opts.evaluate) {
     // threads counts the calling thread, which ParallelFor drafts in.
     owned_pool = std::make_unique<util::ThreadPool>(threads - 1);
     pool = owned_pool.get();

@@ -63,7 +63,9 @@ struct MctsOptions {
   int threads = 1;
   int eval_batch = 0;
   /// Optional externally owned pool (e.g. qpsql's --threads pool). When
-  /// null and threads > 1, MctsPlan spins up a temporary pool.
+  /// null, threads > 1 and no `evaluate` hook is set, MctsPlan spins up a
+  /// temporary pool. The pool only shards the direct model call; a hook
+  /// evaluates on its own threads.
   util::ThreadPool* pool = nullptr;
 
   /// Cooperative cancellation, polled once per rollout and before each
@@ -80,6 +82,14 @@ struct MctsResult {
   double planning_ms = 0.0;
   bool deadline_hit = false;       ///< search truncated by MctsOptions::deadline_ms
 };
+
+/// `base` with a request's knobs applied: its deadline and cancel token,
+/// and its seed and batch evaluator when set.
+MctsOptions WithRequest(MctsOptions base, const PlanRequestOptions& ropts);
+
+/// The unified result for an MCTS or greedy plan served at `stage`: the
+/// root estimates carry the model's predicted runtime.
+PlanResult ToPlanResult(MctsResult mcts, PlanStage stage);
 
 /// Plans `q` with MCTS guided by a trained QPSeeker model.
 StatusOr<MctsResult> MctsPlan(const QpSeeker& model, const query::Query& q,

@@ -64,5 +64,12 @@ Status CheckPlannable(const query::Query& q) {
   return Status::OK();
 }
 
+Status CheckRequestDeadline(bool deadline_hit, const PlanRequestOptions& ropts) {
+  if (deadline_hit && ropts.fail_on_deadline) {
+    return Status::DeadlineExceeded("planning deadline expired");
+  }
+  return Status::OK();
+}
+
 }  // namespace core
 }  // namespace qps

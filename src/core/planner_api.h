@@ -1,11 +1,11 @@
 // Copyright 2026 The QPSeeker Authors
 //
-// The unified planner surface. Four planning backends grew out of the
+// The unified planner surface. Three planning backends grew out of the
 // paper's experiments — the Selinger-style DP baseline, raw MCTS over the
-// learned cost model, the complexity-routed hybrid, and the guarded
-// degradation ladder — each with its own call signature. Everything above
-// them (qpsql, the plan service, the conformance suite) dispatches through
-// this one interface instead:
+// learned cost model, and the hybrid optimizer that routes between them
+// behind a guarded degradation ladder. Everything above them (qpsql, the
+// plan service, the conformance suite) dispatches through this one
+// interface and its one result type:
 //
 //   StatusOr<PlanResult> Plan(const query::Query&, const PlanRequestOptions&)
 //
@@ -126,8 +126,7 @@ struct PlanRequestOptions {
   const util::CancelToken* cancel = nullptr;
 };
 
-/// The unified planning result. `stage` and the guard counters replace the
-/// planner-specific accessors the four backends used to expose.
+/// The unified planning result, the only one any backend returns.
 struct PlanResult {
   query::PlanPtr plan;                       ///< never null on OK status
   PlanStage stage = PlanStage::kTraditional;
@@ -137,21 +136,23 @@ struct PlanResult {
   query::NodeStats node_stats;
   double plan_ms = 0.0;      ///< wall planning time inside Plan()
   int plans_evaluated = 0;   ///< model forwards (0 on the traditional path)
-  bool used_neural = false;  ///< the learned model was consulted
   bool deadline_hit = false; ///< search truncated by the request deadline
   std::string fallback_reason;  ///< ladder detail; empty when first choice served
+
+  /// The learned model was consulted (neural or greedy stage).
+  bool used_neural() const { return stage != PlanStage::kTraditional; }
 };
 
-/// Abstract planning backend. Implementations: BaselinePlanner,
-/// MctsPlanner (planner_backends.h), HybridPlanner (hybrid.h), and
-/// GuardedPlanner (guarded_planner.h). Plan() is not required to be
+/// Abstract planning backend. Implementations: BaselinePlanner and
+/// MctsPlanner (planner_backends.h), and GuardedPlanner, the hybrid
+/// optimizer (guarded_planner.h). Plan() is not required to be
 /// thread-safe; the serving layer gives each request exclusive use of the
 /// planner while it runs (single dispatch mutex or per-worker instances).
 class Planner {
  public:
   virtual ~Planner() = default;
 
-  /// Stable backend name ("baseline", "neural", "hybrid", "guarded").
+  /// Stable backend name ("baseline", "neural", "guarded").
   virtual const char* name() const = 0;
 
   virtual StatusOr<PlanResult> Plan(const query::Query& q,
@@ -164,6 +165,10 @@ class Planner {
 /// Shared precondition check used by every backend: non-empty and free of
 /// cross products. Returns kInvalidArgument / kNotImplemented.
 Status CheckPlannable(const query::Query& q);
+
+/// kDeadlineExceeded when the request deadline truncated the search and
+/// the caller asked to fail instead of taking the best-effort plan.
+Status CheckRequestDeadline(bool deadline_hit, const PlanRequestOptions& ropts);
 
 }  // namespace core
 }  // namespace qps

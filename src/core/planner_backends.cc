@@ -2,7 +2,6 @@
 
 #include "core/planner_backends.h"
 
-#include "core/hybrid.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -25,25 +24,10 @@ StatusOr<PlanResult> BaselinePlanner::Plan(const query::Query& q,
 StatusOr<PlanResult> MctsPlanner::Plan(const query::Query& q,
                                        const PlanRequestOptions& ropts) {
   QPS_RETURN_IF_ERROR(CheckPlannable(q));
-  MctsOptions mopts = options_;
-  mopts.deadline_ms = ropts.deadline_ms;
-  if (ropts.seed != 0) mopts.seed = ropts.seed;
-  if (ropts.evaluate) mopts.evaluate = ropts.evaluate;
-  mopts.cancel = ropts.cancel;
-  QPS_ASSIGN_OR_RETURN(MctsResult mcts, MctsPlan(*model_, q, mopts));
-  if (mcts.deadline_hit && ropts.fail_on_deadline) {
-    return Status::DeadlineExceeded("planning deadline expired");
-  }
-  PlanResult result;
-  result.stage = PlanStage::kNeural;
-  result.node_stats = mcts.plan->estimated;
-  result.node_stats.runtime_ms = mcts.predicted_runtime_ms;
-  result.plan = std::move(mcts.plan);
-  result.plan_ms = mcts.planning_ms;
-  result.plans_evaluated = mcts.plans_evaluated;
-  result.used_neural = true;
-  result.deadline_hit = mcts.deadline_hit;
-  return result;
+  QPS_ASSIGN_OR_RETURN(MctsResult mcts,
+                       MctsPlan(*model_, q, WithRequest(options_, ropts)));
+  QPS_RETURN_IF_ERROR(CheckRequestDeadline(mcts.deadline_hit, ropts));
+  return ToPlanResult(std::move(mcts), PlanStage::kNeural);
 }
 
 StatusOr<std::unique_ptr<Planner>> MakePlanner(const std::string& name,
@@ -60,19 +44,15 @@ StatusOr<std::unique_ptr<Planner>> MakePlanner(const std::string& name,
     return Status::InvalidArgument("planner '" + name +
                                    "' requires a trained model");
   }
-  if (name == "neural" || name == "mcts") {
+  if (name == "neural") {
     return std::unique_ptr<Planner>(new MctsPlanner(model, gopts.hybrid.mcts));
-  }
-  if (name == "hybrid") {
-    return std::unique_ptr<Planner>(
-        new HybridPlanner(model, baseline, gopts.hybrid));
   }
   if (name == "guarded") {
     return std::unique_ptr<Planner>(new GuardedPlanner(model, baseline, gopts));
   }
   return Status::InvalidArgument(
       "unknown planner '" + name +
-      "' (expected baseline|neural|hybrid|guarded)");
+      "' (expected baseline|neural|guarded)");
 }
 
 }  // namespace core

@@ -131,7 +131,7 @@ OracleReport DifferentialOracle::Check(const query::Query& q, uint64_t seed) {
     }
     core::PlanResult result = std::move(result_or).value();
     probe.stage = result.stage;
-    probe.used_neural = result.used_neural;
+    probe.used_neural = result.used_neural();
     probe.deadline_hit = result.deadline_hit;
     probe.fallback_reason = result.fallback_reason;
     probe.estimated_rows = result.node_stats.cardinality;

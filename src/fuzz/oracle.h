@@ -2,7 +2,7 @@
 //
 // The differential oracle: one query in, every planning backend out. For a
 // valid, connected query the unified planner contract (planner_api.h) says
-// all four backends must produce a ValidatePlan-clean plan with finite
+// all three backends must produce a ValidatePlan-clean plan with finite
 // stats — and because every valid plan of the same query computes the same
 // COUNT(*), executing the neural-chosen and DP-chosen plans must agree on
 // the root cardinality. Each backend run is condensed into a BackendProbe
@@ -56,9 +56,8 @@ struct OracleReport {
 
 struct OracleOptions {
   /// Backends to differentiate, in fixed order (signature stability).
-  std::vector<std::string> backends = {"baseline", "neural", "hybrid",
-                                       "guarded"};
-  /// Planner configuration shared by the neural/hybrid/guarded backends.
+  std::vector<std::string> backends = {"baseline", "neural", "guarded"};
+  /// Planner configuration shared by the neural and guarded backends.
   /// Defaults pin determinism: rollout-capped MCTS with an effectively
   /// unlimited time budget, so wall-clock never decides a plan.
   core::GuardedOptions guarded;

@@ -32,15 +32,12 @@ struct ServeMetrics {
   /// Sliding-window mirrors of the cumulative series above: request/shed
   /// rates and rolling latency percentiles for the export surface and
   /// qps_top (obs/window.h).
-  /// Retry accounting (worker-side and caller-side loops both feed these).
-  metrics::Counter* retry_attempts;
-  metrics::Counter* retry_exhausted;
-  metrics::Counter* retry_success;
   obs::WindowedCounter* requests_window;
   obs::WindowedCounter* shed_window;
-  obs::WindowedCounter* retry_attempts_window;
   obs::WindowedHistogram* queue_ms_window;
   obs::WindowedHistogram* latency_ms_window;
+  /// Worker-side retry accounting, shared with the caller-side loop.
+  const RetryMetrics* retries;
 
   static const ServeMetrics& Get() {
     static const ServeMetrics m = [] {
@@ -54,15 +51,11 @@ struct ServeMetrics {
       out.queue_depth = reg.GetGauge("qps.serve.queue_depth");
       out.queue_ms = reg.GetHistogram("qps.serve.queue_ms");
       out.latency_ms = reg.GetHistogram("qps.serve.latency_ms");
-      out.retry_attempts = reg.GetCounter("qps.serve.retries.attempts");
-      out.retry_exhausted = reg.GetCounter("qps.serve.retries.exhausted");
-      out.retry_success =
-          reg.GetCounter("qps.serve.retries.success_after_retry");
       out.requests_window = win.GetCounter("qps.serve.requests");
       out.shed_window = win.GetCounter("qps.serve.shed");
-      out.retry_attempts_window = win.GetCounter("qps.serve.retries.attempts");
       out.queue_ms_window = win.GetHistogram("qps.serve.queue_ms");
       out.latency_ms_window = win.GetHistogram("qps.serve.latency_ms");
+      out.retries = &RetryMetrics::Get();
       return out;
     }();
     return m;
@@ -88,6 +81,20 @@ void AccumulateBatching(BatchRendezvous::Stats* into,
 }
 
 }  // namespace
+
+const RetryMetrics& RetryMetrics::Get() {
+  static const RetryMetrics m = [] {
+    auto& reg = metrics::Registry::Global();
+    RetryMetrics out;
+    out.attempts = reg.GetCounter("qps.serve.retries.attempts");
+    out.exhausted = reg.GetCounter("qps.serve.retries.exhausted");
+    out.success = reg.GetCounter("qps.serve.retries.success_after_retry");
+    out.attempts_window =
+        obs::WindowRegistry::Global().GetCounter("qps.serve.retries.attempts");
+    return out;
+  }();
+  return m;
+}
 
 /// One admitted request: the PlanRequest lives here until a worker picks
 /// the task up, and the promise carries the result back.
@@ -130,19 +137,6 @@ StatusOr<std::unique_ptr<PlanService>> PlanService::Create(
                           service->baseline_, service->gopts_));
   }
   return service;
-}
-
-StatusOr<std::unique_ptr<PlanService>> PlanService::Create(
-    const std::string& planner_name, const core::QpSeeker* model,
-    const optimizer::Planner* baseline, const core::GuardedOptions& gopts,
-    PlanServiceOptions options) {
-  PlanServiceDeps deps;
-  deps.planner_name = planner_name;
-  deps.model = std::shared_ptr<const core::QpSeeker>(
-      std::shared_ptr<const core::QpSeeker>(), model);
-  deps.baseline = baseline;
-  deps.guard_options = gopts;
-  return Create(std::move(deps), std::move(options));
 }
 
 PlanService::PlanService(PlanServiceDeps deps, PlanServiceOptions options)
@@ -403,6 +397,7 @@ void PlanService::RunRequest(Request& req) {
   // pure function of (seed, attempt), so a fixed seed replays the same
   // schedule — and the same plan — regardless of scheduling.
   const RetryPolicy& retry = options_.retry;
+  const RetryMetrics& rm = *sm.retries;
   int retries_taken = 0;
   StatusOr<core::PlanResult> result = plan_once();
   while (!result.ok()) {
@@ -413,7 +408,7 @@ void PlanService::RunRequest(Request& req) {
     const double backoff_ms = retry.BackoffMs(attempt, req.request.seed);
     if (!RetryPolicy::FitsBudget(backoff_ms, timer.ElapsedMillis(),
                                  ropts.deadline_ms)) {
-      sm.retry_exhausted->Increment();
+      rm.exhausted->Increment();
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
         stats_.retry_exhausted += 1;
@@ -423,8 +418,8 @@ void PlanService::RunRequest(Request& req) {
     if (options_.on_attempt) {
       options_.on_attempt(req.request, failure, /*final_attempt=*/false);
     }
-    sm.retry_attempts->Increment();
-    sm.retry_attempts_window->Increment();
+    rm.attempts->Increment();
+    rm.attempts_window->Increment();
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_.retry_attempts += 1;
@@ -436,14 +431,14 @@ void PlanService::RunRequest(Request& req) {
   if (!result.ok() && retries_taken >= retry.max_retries && retry.enabled() &&
       result.status().IsRetryable() && !util::Cancelled(cancel)) {
     // Ran out of attempts (as opposed to budget or a terminal failure).
-    sm.retry_exhausted->Increment();
+    rm.exhausted->Increment();
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_.retry_exhausted += 1;
     }
   }
   if (result.ok() && retries_taken > 0) {
-    sm.retry_success->Increment();
+    rm.success->Increment();
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_.retry_successes += 1;

@@ -66,12 +66,11 @@ class WindowedHistogram;
 namespace serve {
 
 /// Everything a PlanService plans *with*: the backend, the model, and the
-/// traditional planner. Named fields replace the old positional Create
-/// signature; the model is shared from construction, so there is no
-/// pre-/post-SwapModel ownership split inside the service.
+/// traditional planner. The model is shared from construction, so there is
+/// no pre-/post-SwapModel ownership split inside the service.
 struct PlanServiceDeps {
   /// Backend built per worker via core::MakePlanner: "baseline", "neural",
-  /// "hybrid", or "guarded".
+  /// or "guarded".
   std::string planner_name = "baseline";
 
   /// The serving model. May be null only for the "baseline" backend (no
@@ -207,14 +206,6 @@ class PlanService {
   /// shed_to_baseline config without a baseline.
   static StatusOr<std::unique_ptr<PlanService>> Create(
       PlanServiceDeps deps, PlanServiceOptions options = {});
-
-  /// Deprecated positional shim, kept for one PR: forwards to the
-  /// PlanServiceDeps overload with a non-owning model alias.
-  [[deprecated("use Create(PlanServiceDeps, PlanServiceOptions)")]]
-  static StatusOr<std::unique_ptr<PlanService>> Create(
-      const std::string& planner_name, const core::QpSeeker* model,
-      const optimizer::Planner* baseline, const core::GuardedOptions& gopts,
-      PlanServiceOptions options = {});
 
   ~PlanService();
 

@@ -24,7 +24,26 @@
 #include "util/status.h"
 
 namespace qps {
+namespace metrics {
+class Counter;
+}  // namespace metrics
+namespace obs {
+class WindowedCounter;
+}  // namespace obs
+
 namespace serve {
+
+/// The qps.serve.retries.* handles, registered once and fed by both retry
+/// loops: worker-side in PlanService::RunRequest and caller-side in
+/// ShardedPlanService::Submit.
+struct RetryMetrics {
+  metrics::Counter* attempts;
+  metrics::Counter* exhausted;
+  metrics::Counter* success;
+  obs::WindowedCounter* attempts_window;
+
+  static const RetryMetrics& Get();
+};
 
 struct RetryPolicy {
   /// Retries after the first attempt (0 disables retrying entirely).

@@ -27,29 +27,6 @@ std::future<StatusOr<core::PlanResult>> ReadyFuture(
   return future;
 }
 
-/// Caller-side retry accounting; same metric families the worker-side loop
-/// in PlanService feeds.
-struct RetryMetrics {
-  metrics::Counter* attempts;
-  metrics::Counter* exhausted;
-  metrics::Counter* success;
-  obs::WindowedCounter* attempts_window;
-
-  static const RetryMetrics& Get() {
-    static const RetryMetrics m = [] {
-      auto& reg = metrics::Registry::Global();
-      RetryMetrics out;
-      out.attempts = reg.GetCounter("qps.serve.retries.attempts");
-      out.exhausted = reg.GetCounter("qps.serve.retries.exhausted");
-      out.success = reg.GetCounter("qps.serve.retries.success_after_retry");
-      out.attempts_window =
-          obs::WindowRegistry::Global().GetCounter("qps.serve.retries.attempts");
-      return out;
-    }();
-    return m;
-  }
-};
-
 }  // namespace
 
 StatusOr<std::unique_ptr<ShardedPlanService>> ShardedPlanService::Create(

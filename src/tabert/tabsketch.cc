@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/clock.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace qps {
 namespace tabert {
@@ -21,6 +21,11 @@ float Norm(double v, double lo, double hi) {
   return static_cast<float>(std::clamp((v - lo) / (hi - lo), 0.0, 1.0));
 }
 
+int64_t ColumnKey(int table, int column) {
+  return (static_cast<int64_t>(table) << 32) | (column + 1);
+}
+int64_t TableKey(int table) { return static_cast<int64_t>(table) << 32; }
+
 }  // namespace
 
 TabSketch::TabSketch(const storage::Database& db, const stats::DatabaseStats& stats,
@@ -33,6 +38,19 @@ TabSketch::TabSketch(const storage::Database& db, const stats::DatabaseStats& st
   projection_ = nn::Tensor::Randn(kRawFeatures, dim, &rng,
                                   1.0f / std::sqrt(static_cast<float>(kRawFeatures)));
   mixer_ = nn::Tensor::Randn(dim, dim, &rng, 1.0f / std::sqrt(static_cast<float>(dim)));
+  // The weights above are final, so the unconditioned representations can
+  // be computed now. [CLS] is the mean of the table's column representations.
+  for (int table = 0; table < db_.num_tables(); ++table) {
+    const storage::Table& t = db_.table(table);
+    nn::Tensor cls(1, dim);
+    const int ncols = std::max<int>(1, static_cast<int>(t.num_columns()));
+    for (int c = 0; c < t.num_columns(); ++c) {
+      nn::Tensor rep = Project(RawColumnFeatures(table, c, nullptr));
+      for (int64_t j = 0; j < dim; ++j) cls(0, j) += rep(0, j) / static_cast<float>(ncols);
+      cache_.emplace(ColumnKey(table, c), std::move(rep));
+    }
+    cache_.emplace(TableKey(table), std::move(cls));
+  }
 }
 
 nn::Tensor TabSketch::RawColumnFeatures(int table, int column,
@@ -88,7 +106,6 @@ nn::Tensor TabSketch::RawColumnFeatures(int table, int column,
 }
 
 nn::Tensor TabSketch::Project(const nn::Tensor& raw) const {
-  Timer timer;
   const int dim = config_.ResolvedDim();
   nn::Tensor h(1, dim);
   nn::MatMulInto(raw, projection_, &h);
@@ -101,40 +118,23 @@ nn::Tensor TabSketch::Project(const nn::Tensor& raw) const {
     nn::MatMulInto(h, mixer_, &tmp);
     for (int64_t j = 0; j < dim; ++j) h(0, j) = std::tanh(tmp(0, j) + h(0, j));
   }
-  total_time_ms_ += timer.ElapsedMillis();
-  ++num_calls_;
   return h;
 }
 
 nn::Tensor TabSketch::ColumnRepresentation(int table, int column,
                                            const query::FilterPredicate* pred) const {
-  if (pred == nullptr) {
-    const int64_t key = (static_cast<int64_t>(table) << 32) | (column + 1);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-    nn::Tensor rep = Project(RawColumnFeatures(table, column, nullptr));
-    cache_.emplace(key, rep);
-    return rep;
-  }
-  return Project(RawColumnFeatures(table, column, pred));
+  if (pred == nullptr) return cache_.at(ColumnKey(table, column));
+  const nn::Tensor raw = RawColumnFeatures(table, column, pred);
+  const int64_t start = Clock::Default()->NowNanos();
+  nn::Tensor rep = Project(raw);
+  total_ns_.fetch_add(Clock::Default()->NowNanos() - start,
+                      std::memory_order_relaxed);
+  num_calls_.fetch_add(1, std::memory_order_relaxed);
+  return rep;
 }
 
 nn::Tensor TabSketch::TableRepresentation(int table) const {
-  const int64_t key = static_cast<int64_t>(table) << 32;
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-  // [CLS]: mean of column representations (computed through the same
-  // projection, so timing accounts for each column).
-  const storage::Table& t = db_.table(table);
-  const int dim = config_.ResolvedDim();
-  nn::Tensor cls(1, dim);
-  const int ncols = std::max<int>(1, static_cast<int>(t.num_columns()));
-  for (int c = 0; c < t.num_columns(); ++c) {
-    nn::Tensor rep = Project(RawColumnFeatures(table, c, nullptr));
-    for (int64_t j = 0; j < dim; ++j) cls(0, j) += rep(0, j) / static_cast<float>(ncols);
-  }
-  cache_.emplace(key, cls);
-  return cls;
+  return cache_.at(TableKey(table));
 }
 
 nn::Tensor TabSketch::ScanDataRepresentation(const query::Query& q, int rel) const {

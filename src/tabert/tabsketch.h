@@ -20,6 +20,7 @@
 #ifndef QPS_TABERT_TABSKETCH_H_
 #define QPS_TABERT_TABSKETCH_H_
 
+#include <atomic>
 #include <memory>
 #include <unordered_map>
 
@@ -45,7 +46,9 @@ struct TabSketchConfig {
   }
 };
 
-/// Stateless-after-construction encoder of tables and columns.
+/// Stateless-after-construction encoder of tables and columns. The
+/// unconditioned column and table representations are computed once in the
+/// constructor, so every method is safe to call from many threads at once.
 class TabSketch {
  public:
   TabSketch(const storage::Database& db, const stats::DatabaseStats& stats,
@@ -69,11 +72,16 @@ class TabSketch {
   const TabSketchConfig& config() const { return config_; }
 
   /// Latency accounting (Figure 8 right: avg time spent in TaBERT).
-  double total_time_ms() const { return total_time_ms_; }
-  int64_t num_calls() const { return num_calls_; }
+  /// Counts the projections computed per call, i.e. the predicate-
+  /// conditioned ones; the cached representations built by the constructor
+  /// are not counted.
+  double total_time_ms() const {
+    return static_cast<double>(total_ns_.load(std::memory_order_relaxed)) * 1e-6;
+  }
+  int64_t num_calls() const { return num_calls_.load(std::memory_order_relaxed); }
   void ResetTiming() const {
-    total_time_ms_ = 0.0;
-    num_calls_ = 0;
+    total_ns_.store(0, std::memory_order_relaxed);
+    num_calls_.store(0, std::memory_order_relaxed);
   }
 
   /// Raw (pre-projection) feature width: datatype(3) + size/ndv(3) +
@@ -90,9 +98,11 @@ class TabSketch {
   TabSketchConfig config_;
   nn::Tensor projection_;  ///< kRawFeatures x dim, fixed at construction
   nn::Tensor mixer_;       ///< dim x dim, applied K times ("vertical attention")
-  mutable double total_time_ms_ = 0.0;
-  mutable int64_t num_calls_ = 0;
-  mutable std::unordered_map<int64_t, nn::Tensor> cache_;  ///< unconditioned reps
+  mutable std::atomic<int64_t> total_ns_{0};
+  mutable std::atomic<int64_t> num_calls_{0};
+  /// Unconditioned column and table representations, filled by the
+  /// constructor and read-only after it.
+  std::unordered_map<int64_t, nn::Tensor> cache_;
 };
 
 }  // namespace tabert

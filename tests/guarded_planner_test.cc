@@ -5,13 +5,15 @@
 // triggered deterministically through armed fault points, and the circuit
 // breaker's open/short-circuit/close cycle runs against an injected fake
 // clock. With everything disarmed, GuardedPlanner must be byte-identical
-// to HybridPlanner.
+// to the "neural" backend on complex queries and to the "baseline" backend
+// on simple ones.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/guarded_planner.h"
+#include "core/planner_backends.h"
 #include "core/qpseeker.h"
 #include "query/parser.h"
 #include "storage/schemas.h"
@@ -103,20 +105,27 @@ stats::DatabaseStats* GuardedPlannerTest::stats_ = nullptr;
 optimizer::Planner* GuardedPlannerTest::baseline_ = nullptr;
 QpSeeker* GuardedPlannerTest::model_ = nullptr;
 
-TEST_F(GuardedPlannerTest, DisarmedIsByteIdenticalToHybridPlanner) {
+TEST_F(GuardedPlannerTest, DisarmedIsByteIdenticalToNeuralOrBaseline) {
   GuardedOptions gopts = Opts();
   GuardedPlanner guarded(model_, baseline_, gopts);
-  HybridPlanner hybrid(model_, baseline_, gopts.hybrid);
+  auto neural = MakePlanner("neural", model_, baseline_, gopts).value();
+  auto baseline = MakePlanner("baseline", model_, baseline_, gopts).value();
 
   for (const auto& q : {Complex(), Simple()}) {
-    auto g = guarded.Plan(q);
-    auto h = hybrid.Plan(q);
+    Planner& reference = q.num_relations() >= gopts.hybrid.neural_min_relations
+                             ? *neural
+                             : *baseline;
+    auto g = guarded.Plan(q, {});
+    auto r = reference.Plan(q, {});
     ASSERT_TRUE(g.ok()) << g.status().ToString();
-    ASSERT_TRUE(h.ok()) << h.status().ToString();
-    EXPECT_EQ(g->used_neural, h->used_neural);
-    EXPECT_EQ(g->plans_evaluated, h->plans_evaluated);
-    EXPECT_EQ(g->plan->ToString(*db_, q), h->plan->ToString(*db_, q))
-        << "guarded and hybrid plans must be byte-identical when disarmed";
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(g->stage, r->stage) << reference.name();
+    EXPECT_EQ(g->plans_evaluated, r->plans_evaluated) << reference.name();
+    EXPECT_EQ(g->node_stats.runtime_ms, r->node_stats.runtime_ms)
+        << reference.name();
+    EXPECT_EQ(g->plan->ToString(*db_, q), r->plan->ToString(*db_, q))
+        << "guarded and " << reference.name()
+        << " plans must be byte-identical when disarmed";
   }
   EXPECT_EQ(guarded.stats().requests, 2);
   EXPECT_EQ(guarded.stats().neural_attempts, 1);
@@ -131,10 +140,10 @@ TEST_F(GuardedPlannerTest, MctsFaultDegradesToGreedy) {
   ArmSticky("mcts.rollout", StatusCode::kInternal, "rollout blew up");
 
   const query::Query q = Complex();
-  auto result = planner.Plan(q);
+  auto result = planner.Plan(q, {});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->stage, PlanStage::kGreedy);
-  EXPECT_TRUE(result->used_neural);
+  EXPECT_TRUE(result->used_neural());
   EXPECT_NE(result->fallback_reason.find("rollout blew up"), std::string::npos);
   EXPECT_TRUE(query::ValidatePlan(q, *result->plan).ok());
 
@@ -154,10 +163,10 @@ TEST_F(GuardedPlannerTest, NanScoreDegradesPastGreedyToTraditional) {
   fault::FaultInjector::Global().Arm("vae.forward", nan_spec);
 
   const query::Query q = Complex();
-  auto result = planner.Plan(q);
+  auto result = planner.Plan(q, {});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->stage, PlanStage::kTraditional);
-  EXPECT_FALSE(result->used_neural);
+  EXPECT_FALSE(result->used_neural());
   EXPECT_TRUE(query::ValidatePlan(q, *result->plan).ok());
 
   EXPECT_EQ(planner.stats().neural_nan, 1);
@@ -178,7 +187,7 @@ TEST_F(GuardedPlannerTest, BlownDeadlineDegradesToGreedy) {
   stall.trigger_on_hit = 1;
   fault::FaultInjector::Global().Arm("mcts.rollout", stall);
 
-  auto result = planner.Plan(Complex());
+  auto result = planner.Plan(Complex(), {});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->stage, PlanStage::kGreedy);
   EXPECT_EQ(planner.stats().neural_deadline, 1);
@@ -195,7 +204,7 @@ TEST_F(GuardedPlannerTest, InvalidPlanVerdictDegradesToGreedy) {
   reject.trigger_on_hit = 1;
   fault::FaultInjector::Global().Arm("plan.validate", reject);
 
-  auto result = planner.Plan(Complex());
+  auto result = planner.Plan(Complex(), {});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->stage, PlanStage::kGreedy);
   EXPECT_EQ(planner.stats().neural_invalid_plan, 1);
@@ -208,7 +217,7 @@ TEST_F(GuardedPlannerTest, AllRungsFailingSurfacesTheLastError) {
   ArmSticky("greedy.plan", StatusCode::kInternal);
   ArmSticky("planner.dp", StatusCode::kAborted, "dp down");
 
-  auto result = planner.Plan(Complex());
+  auto result = planner.Plan(Complex(), {});
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsAborted());
   EXPECT_EQ(planner.stats().neural_error, 1);
@@ -220,7 +229,7 @@ TEST_F(GuardedPlannerTest, SimpleQueriesBypassTheNeuralPath) {
   GuardedPlanner planner(model_, baseline_, Opts());
   ArmSticky("mcts.rollout", StatusCode::kInternal);  // must never be reached
 
-  auto result = planner.Plan(Simple());
+  auto result = planner.Plan(Simple(), {});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stage, PlanStage::kTraditional);
   EXPECT_EQ(planner.stats().neural_attempts, 0);
@@ -241,7 +250,7 @@ TEST_F(GuardedPlannerTest, CircuitOpensShedsTrafficAndClosesAfterCooldown) {
 
   // Three MCTS failures (each saved by greedy) trip the breaker.
   for (int i = 0; i < 3; ++i) {
-    auto r = planner.Plan(q);
+    auto r = planner.Plan(q, {});
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->stage, PlanStage::kGreedy);
     EXPECT_EQ(planner.circuit_open(), i == 2);
@@ -251,7 +260,7 @@ TEST_F(GuardedPlannerTest, CircuitOpensShedsTrafficAndClosesAfterCooldown) {
 
   // While open, complex queries short-circuit to the DP planner: no MCTS
   // attempt, no greedy attempt.
-  auto shed = planner.Plan(q);
+  auto shed = planner.Plan(q, {});
   ASSERT_TRUE(shed.ok());
   EXPECT_EQ(shed->stage, PlanStage::kTraditional);
   EXPECT_EQ(shed->fallback_reason, "circuit open");
@@ -261,7 +270,7 @@ TEST_F(GuardedPlannerTest, CircuitOpensShedsTrafficAndClosesAfterCooldown) {
 
   // Cool-down not yet elapsed: still shedding.
   manual_clock.SetMillis(99.0);
-  ASSERT_TRUE(planner.Plan(q).ok());
+  ASSERT_TRUE(planner.Plan(q, {}).ok());
   EXPECT_EQ(planner.stats().circuit_short_circuits, 2);
   EXPECT_TRUE(planner.circuit_open());
 
@@ -269,7 +278,7 @@ TEST_F(GuardedPlannerTest, CircuitOpensShedsTrafficAndClosesAfterCooldown) {
   // neural planning serves again.
   manual_clock.SetMillis(101.0);
   fault::FaultInjector::Global().DisarmAll();
-  auto healed = planner.Plan(q);
+  auto healed = planner.Plan(q, {});
   ASSERT_TRUE(healed.ok());
   EXPECT_EQ(healed->stage, PlanStage::kNeural);
   EXPECT_FALSE(planner.circuit_open());
@@ -292,13 +301,13 @@ TEST_F(GuardedPlannerTest, BreakerWindowSlidesOldFailuresOut) {
   fault::FaultSpec fail_once;
   fail_once.trigger_on_hit = 1;
   fi.Arm("mcts.rollout", fail_once);
-  ASSERT_TRUE(planner.Plan(q).ok());
+  ASSERT_TRUE(planner.Plan(q, {}).ok());
   fi.DisarmAll();
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(planner.Plan(q).ok());
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(planner.Plan(q, {}).ok());
   fi.Arm("mcts.rollout", fail_once);
-  ASSERT_TRUE(planner.Plan(q).ok());
+  ASSERT_TRUE(planner.Plan(q, {}).ok());
   fi.Arm("mcts.rollout", fail_once);
-  ASSERT_TRUE(planner.Plan(q).ok());
+  ASSERT_TRUE(planner.Plan(q, {}).ok());
   EXPECT_FALSE(planner.circuit_open());
   EXPECT_EQ(planner.stats().circuit_opens, 0);
   EXPECT_EQ(planner.stats().NeuralFailures(), 3);

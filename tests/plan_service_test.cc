@@ -148,7 +148,7 @@ TEST_F(PlanServiceTest, ConcurrentSubmitsAllCompleteWithValidPlans) {
     EXPECT_TRUE(
         query::ValidatePlan(queries[static_cast<size_t>(i)], *result->plan).ok())
         << "request " << i;
-    EXPECT_TRUE(result->used_neural);
+    EXPECT_TRUE(result->used_neural());
     EXPECT_GT(result->plans_evaluated, 0);
   }
 
@@ -324,7 +324,7 @@ TEST_F(PlanServiceTest, ShedToBaselineDegradesInsteadOfRejecting) {
     auto result = f.get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->stage, core::PlanStage::kTraditional);
-    EXPECT_FALSE(result->used_neural);
+    EXPECT_FALSE(result->used_neural());
     EXPECT_NE(result->fallback_reason.find("shed"), std::string::npos);
     EXPECT_TRUE(query::ValidatePlan(q, *result->plan).ok());
   }
@@ -427,7 +427,7 @@ TEST_F(PlanServiceTest, ZeroWorkersPlansInlineOnTheCaller) {
   auto service = MakeService("neural", opts);
   auto result = service->Submit(Req(ThreeWay())).get();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->used_neural);
+  EXPECT_TRUE(result->used_neural());
   EXPECT_EQ(service->stats().completed, 1);
 }
 

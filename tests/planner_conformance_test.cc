@@ -1,7 +1,7 @@
 // Copyright 2026 The QPSeeker Authors
 //
 // Conformance suite for the unified core::Planner interface: every backend
-// reachable through MakePlanner ("baseline", "neural", "hybrid", "guarded")
+// reachable through MakePlanner ("baseline", "neural", "guarded")
 // must satisfy the same contract — OK results carry a non-null, validated
 // plan with finite stats; malformed queries fail with the documented error
 // codes; a fixed request seed makes planning reproducible; deadlines
@@ -24,7 +24,7 @@ namespace qps {
 namespace core {
 namespace {
 
-const char* kBackends[] = {"baseline", "neural", "hybrid", "guarded"};
+const char* kBackends[] = {"baseline", "neural", "guarded"};
 
 class PlannerConformanceTest : public ::testing::Test {
  protected:
@@ -117,9 +117,9 @@ TEST_F(PlannerConformanceTest, EveryBackendReturnsAValidatedPlan) {
       EXPECT_TRUE(query::StatsAreFinite(result->node_stats)) << name;
       EXPECT_GE(result->plan_ms, 0.0) << name;
       // Stage and the neural flag must agree.
-      EXPECT_EQ(result->used_neural, result->stage != PlanStage::kTraditional)
+      EXPECT_EQ(result->used_neural(), result->stage != PlanStage::kTraditional)
           << name;
-      if (result->used_neural) {
+      if (result->used_neural()) {
         EXPECT_GT(result->plans_evaluated, 0) << name;
       } else {
         EXPECT_EQ(result->plans_evaluated, 0) << name;
@@ -139,8 +139,8 @@ TEST_F(PlannerConformanceTest, BackendsAgreeOnRouting) {
     ASSERT_TRUE(complex_plan.ok() && simple_plan.ok()) << name;
     const bool is_baseline = std::string(name) == "baseline";
     const bool is_neural = std::string(name) == "neural";
-    EXPECT_EQ(complex_plan->used_neural, !is_baseline) << name;
-    EXPECT_EQ(simple_plan->used_neural, is_neural) << name;
+    EXPECT_EQ(complex_plan->used_neural(), !is_baseline) << name;
+    EXPECT_EQ(simple_plan->used_neural(), is_neural) << name;
   }
 }
 
@@ -174,7 +174,7 @@ TEST_F(PlannerConformanceTest, TightDeadlineStillYieldsAValidPlan) {
   const query::Query q = Complex();
   PlanRequestOptions ropts;
   ropts.deadline_ms = 1e-3;
-  for (const char* name : {"neural", "hybrid", "guarded"}) {
+  for (const char* name : {"neural", "guarded"}) {
     auto result = Make(name)->Plan(q, ropts);
     ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
     ASSERT_NE(result->plan, nullptr) << name;
@@ -193,7 +193,7 @@ TEST_F(PlannerConformanceTest, FailOnDeadlineSurfacesDeadlineExceeded) {
   PlanRequestOptions ropts;
   ropts.deadline_ms = 1e-3;
   ropts.fail_on_deadline = true;
-  for (const char* name : {"neural", "hybrid", "guarded"}) {
+  for (const char* name : {"neural", "guarded"}) {
     auto result = Make(name)->Plan(q, ropts);
     ASSERT_FALSE(result.ok()) << name;
     EXPECT_TRUE(result.status().IsDeadlineExceeded())
@@ -239,12 +239,15 @@ TEST_F(PlannerConformanceTest, GuardedLadderDegradesThroughTheInterface) {
 }
 
 TEST_F(PlannerConformanceTest, MakePlannerRejectsUnknownAndMisconfigured) {
-  auto unknown = MakePlanner("quantum", model_, baseline_, Opts());
-  ASSERT_FALSE(unknown.ok());
-  EXPECT_TRUE(unknown.status().code() == StatusCode::kInvalidArgument);
+  // "hybrid" is the guarded backend now; the name is no longer accepted.
+  for (const char* name : {"quantum", "hybrid"}) {
+    auto unknown = MakePlanner(name, model_, baseline_, Opts());
+    ASSERT_FALSE(unknown.ok()) << name;
+    EXPECT_TRUE(unknown.status().code() == StatusCode::kInvalidArgument) << name;
+  }
 
   // Every backend except "baseline" needs a model.
-  for (const char* name : {"neural", "hybrid", "guarded"}) {
+  for (const char* name : {"neural", "guarded"}) {
     auto no_model = MakePlanner(name, nullptr, baseline_, Opts());
     ASSERT_FALSE(no_model.ok()) << name;
     EXPECT_TRUE(no_model.status().code() == StatusCode::kInvalidArgument) << name;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "query/parser.h"
 #include "storage/schemas.h"
@@ -121,6 +124,58 @@ TEST_F(TabSketchTest, CacheMakesUnconditionedCallsCheap) {
   ts.TableRepresentation(1);
   ts.TableRepresentation(1);
   EXPECT_EQ(ts.num_calls(), calls_after_first) << "cached calls must not recompute";
+}
+
+TEST_F(TabSketchTest, ConcurrentCallsOnAFreshInstanceMatchSerial) {
+  // Several planning workers share one model, so a fresh TabSketch is hit
+  // from many threads at once. scripts/tier1.sh runs this under TSan.
+  TabSketch reference(*db_, *stats_);
+  std::vector<nn::Tensor> tables;
+  std::vector<std::vector<nn::Tensor>> columns;
+  for (int t = 0; t < db_->num_tables(); ++t) {
+    tables.push_back(reference.TableRepresentation(t));
+    columns.emplace_back();
+    for (int c = 0; c < db_->table(t).num_columns(); ++c) {
+      columns.back().push_back(reference.ColumnRepresentation(t, c, nullptr));
+    }
+  }
+  query::FilterPredicate pred;
+  pred.rel = 0;
+  pred.column = 1;
+  pred.op = storage::CompareOp::kLe;
+  pred.value = storage::Value::Int(3);
+  const nn::Tensor filtered = reference.ColumnRepresentation(0, 1, &pred);
+
+  TabSketch shared(*db_, *stats_);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 5;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      for (int r = 0; r < kRounds; ++r) {
+        for (int i = 0; i < db_->num_tables(); ++i) {
+          // Workers start on different tables so first touches collide.
+          const int t = (i + w) % db_->num_tables();
+          if (Distance(shared.TableRepresentation(t), tables[t]) != 0.0f) {
+            mismatches.fetch_add(1);
+          }
+          for (size_t c = 0; c < columns[t].size(); ++c) {
+            const nn::Tensor rep =
+                shared.ColumnRepresentation(t, static_cast<int>(c), nullptr);
+            if (Distance(rep, columns[t][c]) != 0.0f) mismatches.fetch_add(1);
+          }
+        }
+        if (Distance(shared.ColumnRepresentation(0, 1, &pred), filtered) != 0.0f) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(shared.num_calls(), kThreads * kRounds)
+      << "only the predicate-conditioned calls are projected per call";
 }
 
 TEST_F(TabSketchTest, RepresentationsAreFinite) {
