@@ -25,7 +25,6 @@
 #include "nn/layers.h"
 #include "nn/optim.h"
 #include "nn/quant.h"
-#include "obs/window.h"
 #include "optimizer/planner.h"
 #include "query/parser.h"
 #include "sampling/plan_sampler.h"
@@ -611,15 +610,15 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
-// Windowed metrics (obs/window.h): the enabled path adds a clock read and
-// the slot CAS check on top of the cumulative counter; the disabled path
-// must be one relaxed load + branch — strictly cheaper than a cumulative
+// Windowed metrics: the enabled path adds a clock read and the slot CAS
+// check on top of the cumulative counter; the disabled path must be one
+// relaxed load + branch — strictly cheaper than a cumulative
 // Counter::Increment, enforced by the assertion in main() below.
 
 void BM_WindowedCounterIncrement(benchmark::State& state) {
-  obs::SetWindowedEnabled(true);
-  obs::WindowedCounter* counter =
-      obs::WindowRegistry::Global().GetCounter("qps.bench.window_counter");
+  metrics::SetWindowedEnabled(true);
+  metrics::Counter* counter = metrics::Registry::Global().GetCounter(
+      "qps.bench.window_counter", metrics::Series::kWindowed);
   for (auto _ : state) {
     counter->Increment();
     benchmark::ClobberMemory();
@@ -628,21 +627,21 @@ void BM_WindowedCounterIncrement(benchmark::State& state) {
 BENCHMARK(BM_WindowedCounterIncrement);
 
 void BM_WindowedCounterDisabled(benchmark::State& state) {
-  obs::SetWindowedEnabled(false);
-  obs::WindowedCounter* counter =
-      obs::WindowRegistry::Global().GetCounter("qps.bench.window_counter");
+  metrics::SetWindowedEnabled(false);
+  metrics::Counter* counter = metrics::Registry::Global().GetCounter(
+      "qps.bench.window_counter", metrics::Series::kWindowed);
   for (auto _ : state) {
     counter->Increment();
     benchmark::ClobberMemory();
   }
-  obs::SetWindowedEnabled(true);
+  metrics::SetWindowedEnabled(true);
 }
 BENCHMARK(BM_WindowedCounterDisabled);
 
 void BM_WindowedHistogramRecord(benchmark::State& state) {
-  obs::SetWindowedEnabled(true);
-  obs::WindowedHistogram* hist =
-      obs::WindowRegistry::Global().GetHistogram("qps.bench.window_hist");
+  metrics::SetWindowedEnabled(true);
+  metrics::Histogram* hist = metrics::Registry::Global().GetHistogram(
+      "qps.bench.window_hist", metrics::Series::kWindowed);
   double v = 0.001;
   for (auto _ : state) {
     hist->Record(v);
@@ -680,13 +679,13 @@ double BestNsPerOp(Fn&& op) {
 int CheckWindowedOverheadBound() {
   metrics::Counter* counter =
       metrics::Registry::Global().GetCounter("qps.bench.overhead_counter");
-  obs::WindowedCounter* windowed =
-      obs::WindowRegistry::Global().GetCounter("qps.bench.overhead_window");
+  metrics::Counter* windowed = metrics::Registry::Global().GetCounter(
+      "qps.bench.overhead_window", metrics::Series::kWindowed);
 
   const double counter_ns = BestNsPerOp([&] { counter->Increment(); });
-  obs::SetWindowedEnabled(false);
+  metrics::SetWindowedEnabled(false);
   const double disabled_ns = BestNsPerOp([&] { windowed->Increment(); });
-  obs::SetWindowedEnabled(true);
+  metrics::SetWindowedEnabled(true);
 
   // Half a nanosecond of absolute slack absorbs timer granularity when
   // both loops are ~1 ns/op.

@@ -24,10 +24,10 @@
 #include "bench/harness.h"
 #include "exec/executor.h"
 #include "obs/accuracy.h"
-#include "obs/window.h"
 #include "serve/sharded_service.h"
 #include "util/fault.h"
 #include "util/logging.h"
+#include "util/metrics.h"
 #include "util/timer.h"
 
 namespace qps {
@@ -136,8 +136,8 @@ void RunWindowedObservation(const core::QpSeeker& model,
   eopts.accuracy_backend = "neural";  // feed obs::AccuracyTracker::Global()
   exec::Executor executor(db, eopts);
 
-  obs::WindowedHistogram* latency =
-      obs::WindowRegistry::Global().GetHistogram("qps.serve.latency_ms");
+  metrics::Histogram* latency = metrics::Registry::Global().GetHistogram(
+      "qps.serve.latency_ms", metrics::Series::kBoth);
   std::printf("%6s %8s %10s %10s %12s %10s\n", "round", "win n", "p50 ms",
               "p99 ms", "qerr p50", "drift");
   for (int round = 0; round < rounds; ++round) {

@@ -109,7 +109,6 @@
 #include "obs/accuracy.h"
 #include "obs/audit.h"
 #include "obs/export.h"
-#include "obs/window.h"
 #include "optimizer/planner.h"
 #include "query/parser.h"
 #include "serve/model_manager.h"
@@ -565,6 +564,12 @@ int RunServe(const storage::Database& db, core::QpSeeker* model,
 int main(int argc, char** argv) {
   const Options opts = ParseArgs(argc, argv);
   SetVerbosity(opts.verbosity);
+  // Reject a bad --planner before training a model for it (both the shell
+  // and the --serve path build their planners with core::MakePlanner).
+  if (Status st = core::CheckPlannerName(opts.planner); !st.ok()) {
+    std::fprintf(stderr, "planner: %s\n", st.ToString().c_str());
+    return 2;
+  }
 
   Rng rng(opts.seed);
   storage::DatabaseSpec spec;
@@ -783,11 +788,9 @@ int main(int argc, char** argv) {
       continue;
     }
     if (sql == "\\prom") {
-      const obs::WindowSnapshot window =
-          obs::WindowRegistry::Global().TakeSnapshot();
       std::printf("%s",
                   obs::RenderPrometheus(
-                      metrics::Registry::Global().TakeSnapshot(), &window)
+                      metrics::Registry::Global().TakeSnapshot())
                       .c_str());
       continue;
     }

@@ -22,13 +22,14 @@ echo "== tier-1: forced-scalar int8 kernel leg (QPS_FORCE_SCALAR=1) =="
 (cd build && QPS_FORCE_SCALAR=1 ctest --output-on-failure \
   -R "quant_test|nn_test|model_manager_test|checkpoint_test")
 
-echo "== tier-1: TSan build (threadpool + hot-path + serving + obs + fuzz-replay + TabSketch tests) =="
+echo "== tier-1: TSan build (threadpool + hot-path + serving + metrics/obs + fuzz-replay + TabSketch tests) =="
 cmake -B build-tsan -S . -DQPS_SANITIZE=THREAD >/dev/null
 cmake --build build-tsan -j --target threadpool_test hotpath_test \
   planner_conformance_test plan_service_test model_manager_test \
-  tenant_test resilience_test planner_fuzz_test obs_test tabert_test
+  tenant_test resilience_test planner_fuzz_test metrics_test obs_test \
+  tabert_test
 (cd build-tsan && ctest --output-on-failure \
-  -R "threadpool_test|hotpath_test|planner_conformance_test|plan_service_test|model_manager_test|tenant_test|resilience_test|planner_fuzz_test|obs_test|tabert_test")
+  -R "threadpool_test|hotpath_test|planner_conformance_test|plan_service_test|model_manager_test|tenant_test|resilience_test|planner_fuzz_test|metrics_test|obs_test|tabert_test")
 
 echo "== tier-1: ASan checkpoint-loader fuzz (10k fixed-seed inputs) =="
 cmake -B build-asan -S . -DQPS_SANITIZE=ON >/dev/null

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/window.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
@@ -31,16 +30,15 @@ struct GuardMetrics {
   metrics::Counter* circuit_closes;
   metrics::Counter* circuit_short_circuits;
   metrics::Gauge* circuit_open;
-  metrics::Histogram* plan_ms;
-  /// Windowed ladder mix: which rung served recent traffic. Feeds the
+  metrics::Histogram* plan_ms;  ///< cumulative and windowed
+  /// Windowed-only ladder mix: which rung served recent traffic. Feeds the
   /// "ladder" panel in qps_top and the Prometheus _window_rate series.
-  obs::WindowedCounter* stage_window[3];
-  obs::WindowedHistogram* plan_ms_window;
+  metrics::Counter* stage_window[3];
 
   static const GuardMetrics& Get() {
     static const GuardMetrics m = [] {
+      constexpr auto kWindowed = metrics::Series::kWindowed;
       auto& reg = metrics::Registry::Global();
-      auto& win = obs::WindowRegistry::Global();
       GuardMetrics out;
       out.requests = reg.GetCounter("qps.guarded.requests");
       out.served[0] = reg.GetCounter("qps.guarded.served_neural");
@@ -52,11 +50,14 @@ struct GuardMetrics {
       out.circuit_short_circuits =
           reg.GetCounter("qps.guarded.circuit_short_circuits");
       out.circuit_open = reg.GetGauge("qps.guarded.circuit_open");
-      out.plan_ms = reg.GetHistogram("qps.guarded.plan_ms");
-      out.stage_window[0] = win.GetCounter("qps.guarded.stage.neural");
-      out.stage_window[1] = win.GetCounter("qps.guarded.stage.greedy");
-      out.stage_window[2] = win.GetCounter("qps.guarded.stage.traditional");
-      out.plan_ms_window = win.GetHistogram("qps.guarded.plan_ms");
+      out.plan_ms =
+          reg.GetHistogram("qps.guarded.plan_ms", metrics::Series::kBoth);
+      out.stage_window[0] =
+          reg.GetCounter("qps.guarded.stage.neural", kWindowed);
+      out.stage_window[1] =
+          reg.GetCounter("qps.guarded.stage.greedy", kWindowed);
+      out.stage_window[2] =
+          reg.GetCounter("qps.guarded.stage.traditional", kWindowed);
       return out;
     }();
     return m;
@@ -188,7 +189,6 @@ StatusOr<PlanResult> GuardedPlanner::Plan(const query::Query& q,
     gm.stage_window[static_cast<int>(r.stage)]->Increment();
     if (!r.fallback_reason.empty()) gm.fallbacks->Increment();
     gm.plan_ms->Record(r.plan_ms);
-    gm.plan_ms_window->Record(r.plan_ms);
     span.AddAttr("stage", PlanStageName(r.stage));
     if (!r.fallback_reason.empty()) span.AddAttr("fallback", r.fallback_reason);
     QPS_RETURN_IF_ERROR(CheckRequestDeadline(r.deadline_hit, ropts));

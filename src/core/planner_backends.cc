@@ -30,10 +30,19 @@ StatusOr<PlanResult> MctsPlanner::Plan(const query::Query& q,
   return ToPlanResult(std::move(mcts), PlanStage::kNeural);
 }
 
+Status CheckPlannerName(const std::string& name) {
+  if (name == "baseline" || name == "neural" || name == "guarded") {
+    return Status::OK();
+  }
+  return Status::InvalidArgument("unknown planner '" + name +
+                                 "' (expected baseline|neural|guarded)");
+}
+
 StatusOr<std::unique_ptr<Planner>> MakePlanner(const std::string& name,
                                                const QpSeeker* model,
                                                const optimizer::Planner* baseline,
                                                const GuardedOptions& gopts) {
+  QPS_RETURN_IF_ERROR(CheckPlannerName(name));
   if (name == "baseline") {
     if (baseline == nullptr) {
       return Status::InvalidArgument("baseline planner requires a DP planner");
@@ -47,12 +56,7 @@ StatusOr<std::unique_ptr<Planner>> MakePlanner(const std::string& name,
   if (name == "neural") {
     return std::unique_ptr<Planner>(new MctsPlanner(model, gopts.hybrid.mcts));
   }
-  if (name == "guarded") {
-    return std::unique_ptr<Planner>(new GuardedPlanner(model, baseline, gopts));
-  }
-  return Status::InvalidArgument(
-      "unknown planner '" + name +
-      "' (expected baseline|neural|guarded)");
+  return std::unique_ptr<Planner>(new GuardedPlanner(model, baseline, gopts));
 }
 
 }  // namespace core

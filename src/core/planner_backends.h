@@ -57,10 +57,15 @@ class MctsPlanner : public Planner {
   MctsOptions options_;
 };
 
-/// Constructs a backend by name: "baseline", "neural", or "guarded". `gopts` carries the routing/MCTS/guard-rail configuration;
-/// the baseline backend uses none of it, the neural backend only
-/// gopts.hybrid.mcts. Returns kInvalidArgument for unknown names.
-/// `model` may be null only for "baseline".
+/// OK when `name` is a backend MakePlanner constructs ("baseline",
+/// "neural", "guarded"); kInvalidArgument naming the valid set otherwise.
+/// Front ends call it before building a model for the backend.
+Status CheckPlannerName(const std::string& name);
+
+/// Constructs a backend by name (see CheckPlannerName). `gopts` carries the
+/// routing/MCTS/guard-rail configuration; the baseline backend uses none of
+/// it, the neural backend only gopts.hybrid.mcts. Returns kInvalidArgument
+/// for unknown names. `model` may be null only for "baseline".
 StatusOr<std::unique_ptr<Planner>> MakePlanner(
     const std::string& name, const QpSeeker* model,
     const optimizer::Planner* baseline, const GuardedOptions& gopts = {});

@@ -11,6 +11,7 @@
 
 #include "obs/accuracy.h"
 #include "util/io.h"
+#include "util/json_format.h"
 
 namespace qps {
 namespace obs {
@@ -40,31 +41,6 @@ std::string PromDouble(double v) {
   return buf;
 }
 
-std::string JsonDouble(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 void AppendTyped(std::string* out, const std::string& prom_name,
                  const char* type) {
   *out += "# TYPE " + prom_name + " " + type + "\n";
@@ -72,8 +48,7 @@ void AppendTyped(std::string* out, const std::string& prom_name,
 
 }  // namespace
 
-std::string RenderPrometheus(const metrics::Snapshot& snapshot,
-                             const WindowSnapshot* window) {
+std::string RenderPrometheus(const metrics::Snapshot& snapshot) {
   std::string out;
   for (const auto& [name, value] : snapshot.counters) {
     const std::string pname = PromName(name);
@@ -101,26 +76,24 @@ std::string RenderPrometheus(const metrics::Snapshot& snapshot,
     out += pname + "_sum " + PromDouble(h.sum) + "\n";
     out += pname + "_count " + std::to_string(h.count) + "\n";
   }
-  if (window != nullptr) {
-    for (const auto& c : window->counters) {
-      const std::string pname = PromName(c.name);
-      AppendTyped(&out, pname + "_window_total", "gauge");
-      out += pname + "_window_total " + std::to_string(c.total) + "\n";
-      AppendTyped(&out, pname + "_window_rate", "gauge");
-      out += pname + "_window_rate " + PromDouble(c.rate_per_sec) + "\n";
-    }
-    for (const auto& h : window->histograms) {
-      const std::string pname = PromName(h.name);
-      AppendTyped(&out, pname + "_window_count", "gauge");
-      out += pname + "_window_count " + std::to_string(h.hist.count) + "\n";
-      AppendTyped(&out, pname + "_window_rate", "gauge");
-      out += pname + "_window_rate " + PromDouble(h.rate_per_sec) + "\n";
-      for (const double p : {50.0, 90.0, 99.0}) {
-        char suffix[32];
-        std::snprintf(suffix, sizeof(suffix), "_window_p%.0f", p);
-        AppendTyped(&out, pname + suffix, "gauge");
-        out += pname + suffix + " " + PromDouble(h.hist.Percentile(p)) + "\n";
-      }
+  for (const auto& c : snapshot.window_counters) {
+    const std::string pname = PromName(c.name);
+    AppendTyped(&out, pname + "_window_total", "gauge");
+    out += pname + "_window_total " + std::to_string(c.total) + "\n";
+    AppendTyped(&out, pname + "_window_rate", "gauge");
+    out += pname + "_window_rate " + PromDouble(c.rate_per_sec) + "\n";
+  }
+  for (const auto& h : snapshot.window_histograms) {
+    const std::string pname = PromName(h.hist.name);
+    AppendTyped(&out, pname + "_window_count", "gauge");
+    out += pname + "_window_count " + std::to_string(h.hist.count) + "\n";
+    AppendTyped(&out, pname + "_window_rate", "gauge");
+    out += pname + "_window_rate " + PromDouble(h.rate_per_sec) + "\n";
+    for (const double p : {50.0, 90.0, 99.0}) {
+      char suffix[32];
+      std::snprintf(suffix, sizeof(suffix), "_window_p%.0f", p);
+      AppendTyped(&out, pname + suffix, "gauge");
+      out += pname + suffix + " " + PromDouble(h.hist.Percentile(p)) + "\n";
     }
   }
   return out;
@@ -212,40 +185,38 @@ StatusOr<std::vector<PromSample>> ParsePrometheus(const std::string& text) {
 }
 
 std::string RenderObsJson(int64_t seq) {
-  const metrics::Snapshot metric_snap =
-      metrics::Registry::Global().TakeSnapshot();
-  const WindowSnapshot window_snap = WindowRegistry::Global().TakeSnapshot();
+  const metrics::Snapshot snap = metrics::Registry::Global().TakeSnapshot();
   const AccuracyTracker::Report drift = AccuracyTracker::Global().Peek();
 
   std::string out = "{\"ts_ms\":" +
-                    JsonDouble(Clock::Default()->NowMillis()) +
+                    JsonNumber(Clock::Default()->NowMillis()) +
                     ",\"seq\":" + std::to_string(seq) + ",\"metrics\":";
-  out += metrics::RenderJson(metric_snap);
+  out += metrics::RenderJson(snap);
 
   out += ",\"window\":{\"counters\":{";
   bool first = true;
-  for (const auto& c : window_snap.counters) {
+  for (const auto& c : snap.window_counters) {
     if (!first) out += ",";
     first = false;
     out += "\"" + JsonEscape(c.name) + "\":{\"total\":" +
            std::to_string(c.total) +
-           ",\"rate\":" + JsonDouble(c.rate_per_sec) + "}";
+           ",\"rate\":" + JsonNumber(c.rate_per_sec) + "}";
   }
   out += "},\"histograms\":{";
   first = true;
-  for (const auto& h : window_snap.histograms) {
+  for (const auto& h : snap.window_histograms) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + JsonEscape(h.name) + "\":{\"count\":" +
+    out += "\"" + JsonEscape(h.hist.name) + "\":{\"count\":" +
            std::to_string(h.hist.count) +
-           ",\"rate\":" + JsonDouble(h.rate_per_sec) +
-           ",\"p50\":" + JsonDouble(h.hist.Percentile(50)) +
-           ",\"p90\":" + JsonDouble(h.hist.Percentile(90)) +
-           ",\"p99\":" + JsonDouble(h.hist.Percentile(99)) + "}";
+           ",\"rate\":" + JsonNumber(h.rate_per_sec) +
+           ",\"p50\":" + JsonNumber(h.hist.Percentile(50)) +
+           ",\"p90\":" + JsonNumber(h.hist.Percentile(90)) +
+           ",\"p99\":" + JsonNumber(h.hist.Percentile(99)) + "}";
   }
-  out += "}},\"drift\":{\"score\":" + JsonDouble(drift.drift_score) +
-         ",\"qerr_p50\":" + JsonDouble(drift.qerr_p50) +
-         ",\"qerr_p95\":" + JsonDouble(drift.qerr_p95) +
+  out += "}},\"drift\":{\"score\":" + JsonNumber(drift.drift_score) +
+         ",\"qerr_p50\":" + JsonNumber(drift.qerr_p50) +
+         ",\"qerr_p95\":" + JsonNumber(drift.qerr_p95) +
          ",\"samples\":" + std::to_string(drift.samples) +
          ",\"drifted\":" + (drift.drifted ? "true" : "false") + "}}";
   return out;

@@ -2,16 +2,16 @@
 //
 // Export surface for the observability layer (DESIGN.md §13):
 //
-//  * Prometheus text exposition (version 0.0.4) of the full metrics
-//    registry — counters, gauges, and histograms with correct cumulative
-//    `le` bucket semantics — plus the windowed view as gauges. Metric
+//  * Prometheus text exposition (version 0.0.4) of a registry snapshot —
+//    counters, gauges, and histograms with correct cumulative `le` bucket
+//    semantics — plus the window series as gauges. Metric
 //    names translate dots to underscores (`qps.serve.latency_ms` ->
 //    `qps_serve_latency_ms`); histogram series carry the standard
 //    `_bucket{le=...}` / `_sum` / `_count` suffixes.
 //
 //  * RenderObsJson: one self-describing JSON document combining the
-//    cumulative registry, the windowed snapshot, and the drift report —
-//    the wire format qps_top polls.
+//    registry's cumulative and window series and the drift report — the
+//    wire format qps_top polls.
 //
 //  * SnapshotWriter: a background thread that refreshes the drift gauges
 //    (AccuracyTracker::Update) and atomically rewrites a JSON snapshot
@@ -30,18 +30,16 @@
 #include <thread>
 #include <vector>
 
-#include "obs/window.h"
 #include "util/metrics.h"
 #include "util/status.h"
 
 namespace qps {
 namespace obs {
 
-/// Prometheus text exposition of the cumulative registry; when `window` is
-/// non-null its rates and sliding percentiles are appended as gauges
-/// (suffixes `_window_rate`, `_window_total`, `_window_p50/p90/p99`).
-std::string RenderPrometheus(const metrics::Snapshot& snapshot,
-                             const WindowSnapshot* window = nullptr);
+/// Prometheus text exposition of `snapshot`: the cumulative series first,
+/// then the window series as gauges (suffixes `_window_total`,
+/// `_window_count`, `_window_rate`, `_window_p50/p90/p99`).
+std::string RenderPrometheus(const metrics::Snapshot& snapshot);
 
 /// One parsed Prometheus sample: `name{label="value",...} 12.5`.
 struct PromSample {

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/window.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 
@@ -42,11 +41,11 @@ struct HealthMonitor::Key {
   int64_t recoveries = 0;
 
   // Resolved once per key; the state gauge is cumulative (dashboards want
-  // the current value), transitions feed windowed rate series.
+  // the current value), transitions feed windowed-only rate series.
   metrics::Gauge* state_gauge = nullptr;
-  obs::WindowedCounter* quarantines_window = nullptr;
-  obs::WindowedCounter* probes_window = nullptr;
-  obs::WindowedCounter* recoveries_window = nullptr;
+  metrics::Counter* quarantine_rate = nullptr;
+  metrics::Counter* probe_rate = nullptr;
+  metrics::Counter* recovery_rate = nullptr;
 };
 
 HealthMonitor::HealthMonitor(HealthOptions options)
@@ -59,12 +58,14 @@ HealthMonitor::Key& HealthMonitor::GetKeyLocked(const std::string& key) {
   if (it == keys_.end()) {
     it = keys_.emplace(key, Key{}).first;
     Key& k = it->second;
-    k.state_gauge =
-        metrics::Registry::Global().GetGauge("qps.health.state." + key);
-    auto& win = obs::WindowRegistry::Global();
-    k.quarantines_window = win.GetCounter("qps.health.quarantines." + key);
-    k.probes_window = win.GetCounter("qps.health.probes." + key);
-    k.recoveries_window = win.GetCounter("qps.health.recoveries." + key);
+    constexpr auto kWindowed = metrics::Series::kWindowed;
+    auto& reg = metrics::Registry::Global();
+    k.state_gauge = reg.GetGauge("qps.health.state." + key);
+    k.quarantine_rate =
+        reg.GetCounter("qps.health.quarantines." + key, kWindowed);
+    k.probe_rate = reg.GetCounter("qps.health.probes." + key, kWindowed);
+    k.recovery_rate =
+        reg.GetCounter("qps.health.recoveries." + key, kWindowed);
   }
   return it->second;
 }
@@ -88,7 +89,7 @@ void HealthMonitor::OpenLocked(const std::string& name, Key& k,
   k.samples.clear();
   k.window_failures = 0;
   k.state_gauge->Set(static_cast<double>(HealthState::kOpen));
-  k.quarantines_window->Increment();
+  k.quarantine_rate->Increment();
   QPS_VLOG(1) << "health: " << name << " quarantined (breaker OPEN)";
 }
 
@@ -116,7 +117,7 @@ AdmitDecision HealthMonitor::Admit(const std::string& key) {
       }
       k.probes_inflight += 1;
       k.probes += 1;
-      k.probes_window->Increment();
+      k.probe_rate->Increment();
       return AdmitDecision::kProbe;
   }
   return AdmitDecision::kAdmit;
@@ -148,7 +149,7 @@ void HealthMonitor::Record(const std::string& key, const Status& outcome,
       k.samples.clear();
       k.window_failures = 0;
       k.state_gauge->Set(static_cast<double>(HealthState::kClosed));
-      k.recoveries_window->Increment();
+      k.recovery_rate->Increment();
       QPS_VLOG(1) << "health: " << key << " recovered (breaker closed)";
     }
     return;

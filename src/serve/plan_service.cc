@@ -10,7 +10,6 @@
 
 #include "core/plan_cache.h"
 #include "obs/audit.h"
-#include "obs/window.h"
 #include "util/fault.h"
 #include "util/metrics.h"
 #include "util/timer.h"
@@ -29,32 +28,23 @@ struct ServeMetrics {
   metrics::Gauge* queue_depth;
   metrics::Histogram* queue_ms;
   metrics::Histogram* latency_ms;
-  /// Sliding-window mirrors of the cumulative series above: request/shed
-  /// rates and rolling latency percentiles for the export surface and
-  /// qps_top (obs/window.h).
-  obs::WindowedCounter* requests_window;
-  obs::WindowedCounter* shed_window;
-  obs::WindowedHistogram* queue_ms_window;
-  obs::WindowedHistogram* latency_ms_window;
   /// Worker-side retry accounting, shared with the caller-side loop.
   const RetryMetrics* retries;
 
   static const ServeMetrics& Get() {
     static const ServeMetrics m = [] {
+      // requests/shed/queue_ms/latency_ms also feed a window: the rates and
+      // rolling percentiles of the export surface and qps_top.
+      constexpr auto kBoth = metrics::Series::kBoth;
       auto& reg = metrics::Registry::Global();
-      auto& win = obs::WindowRegistry::Global();
       ServeMetrics out;
-      out.requests = reg.GetCounter("qps.serve.requests");
-      out.shed = reg.GetCounter("qps.serve.shed");
+      out.requests = reg.GetCounter("qps.serve.requests", kBoth);
+      out.shed = reg.GetCounter("qps.serve.shed", kBoth);
       out.deadline_misses = reg.GetCounter("qps.serve.deadline_misses");
       out.inflight = reg.GetGauge("qps.serve.inflight");
       out.queue_depth = reg.GetGauge("qps.serve.queue_depth");
-      out.queue_ms = reg.GetHistogram("qps.serve.queue_ms");
-      out.latency_ms = reg.GetHistogram("qps.serve.latency_ms");
-      out.requests_window = win.GetCounter("qps.serve.requests");
-      out.shed_window = win.GetCounter("qps.serve.shed");
-      out.queue_ms_window = win.GetHistogram("qps.serve.queue_ms");
-      out.latency_ms_window = win.GetHistogram("qps.serve.latency_ms");
+      out.queue_ms = reg.GetHistogram("qps.serve.queue_ms", kBoth);
+      out.latency_ms = reg.GetHistogram("qps.serve.latency_ms", kBoth);
       out.retries = &RetryMetrics::Get();
       return out;
     }();
@@ -86,11 +76,10 @@ const RetryMetrics& RetryMetrics::Get() {
   static const RetryMetrics m = [] {
     auto& reg = metrics::Registry::Global();
     RetryMetrics out;
-    out.attempts = reg.GetCounter("qps.serve.retries.attempts");
+    out.attempts =
+        reg.GetCounter("qps.serve.retries.attempts", metrics::Series::kBoth);
     out.exhausted = reg.GetCounter("qps.serve.retries.exhausted");
     out.success = reg.GetCounter("qps.serve.retries.success_after_retry");
-    out.attempts_window =
-        obs::WindowRegistry::Global().GetCounter("qps.serve.retries.attempts");
     return out;
   }();
   return m;
@@ -152,12 +141,14 @@ PlanService::PlanService(PlanServiceDeps deps, PlanServiceOptions options)
     rendezvous_ = std::make_shared<BatchRendezvous>(model_.get(), ropts);
   }
   if (!options_.tenant_id.empty()) {
-    auto& win = obs::WindowRegistry::Global();
+    constexpr auto kWindowed = metrics::Series::kWindowed;
+    auto& reg = metrics::Registry::Global();
     tenant_requests_ =
-        win.GetCounter("qps.tenant.requests." + options_.tenant_id);
-    tenant_shed_ = win.GetCounter("qps.tenant.shed." + options_.tenant_id);
-    tenant_latency_ =
-        win.GetHistogram("qps.tenant.latency_ms." + options_.tenant_id);
+        reg.GetCounter("qps.tenant.requests." + options_.tenant_id, kWindowed);
+    tenant_shed_ =
+        reg.GetCounter("qps.tenant.shed." + options_.tenant_id, kWindowed);
+    tenant_latency_ = reg.GetHistogram(
+        "qps.tenant.latency_ms." + options_.tenant_id, kWindowed);
   }
   if (options_.pool == nullptr) {
     owned_pool_ = std::make_unique<util::ThreadPool>(options_.workers);
@@ -197,7 +188,6 @@ StatusOr<core::PlanResult> PlanService::PlanShedded(const query::Query& q,
 void PlanService::ShedRequest(Request& req, const char* reason) {
   const ServeMetrics& sm = ServeMetrics::Get();
   sm.shed->Increment();
-  sm.shed_window->Increment();
   if (tenant_shed_ != nullptr) tenant_shed_->Increment();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -244,7 +234,6 @@ std::future<StatusOr<core::PlanResult>> PlanService::SubmitDegraded(
     PlanRequest request, const char* reason) {
   const ServeMetrics& sm = ServeMetrics::Get();
   sm.requests->Increment();
-  sm.requests_window->Increment();
   if (tenant_requests_ != nullptr) tenant_requests_->Increment();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -262,7 +251,6 @@ std::future<StatusOr<core::PlanResult>> PlanService::Submit(
   const ServeMetrics& sm = ServeMetrics::Get();
   QPS_TRACE_SPAN("serve.submit");
   sm.requests->Increment();
-  sm.requests_window->Increment();
   if (tenant_requests_ != nullptr) tenant_requests_->Increment();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -332,7 +320,6 @@ void PlanService::RunRequest(Request& req) {
   const ServeMetrics& sm = ServeMetrics::Get();
   const double queue_ms = req.queued.ElapsedMillis();
   sm.queue_ms->Record(queue_ms);
-  sm.queue_ms_window->Record(queue_ms);
   const int inflight = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
   sm.inflight->Set(static_cast<double>(inflight));
   sm.queue_depth->Set(static_cast<double>(queue_depth()));
@@ -419,7 +406,6 @@ void PlanService::RunRequest(Request& req) {
       options_.on_attempt(req.request, failure, /*final_attempt=*/false);
     }
     rm.attempts->Increment();
-    rm.attempts_window->Increment();
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_.retry_attempts += 1;
@@ -450,7 +436,6 @@ void PlanService::RunRequest(Request& req) {
 
   const double latency_ms = timer.ElapsedMillis();
   sm.latency_ms->Record(latency_ms);
-  sm.latency_ms_window->Record(latency_ms);
   if (tenant_latency_ != nullptr) tenant_latency_->Record(latency_ms);
   span.AddAttr("ok", result.ok() ? 1 : 0);
   if (options_.audit != nullptr) {

@@ -59,9 +59,11 @@
 namespace qps {
 namespace obs {
 class AuditLog;
-class WindowedCounter;
-class WindowedHistogram;
 }  // namespace obs
+namespace metrics {
+class Counter;
+class Histogram;
+}  // namespace metrics
 
 namespace serve {
 
@@ -323,10 +325,10 @@ class PlanService {
   mutable std::mutex stats_mu_;
   Stats stats_;
 
-  /// Per-tenant windowed mirrors; null unless options_.tenant_id is set.
-  obs::WindowedCounter* tenant_requests_ = nullptr;
-  obs::WindowedCounter* tenant_shed_ = nullptr;
-  obs::WindowedHistogram* tenant_latency_ = nullptr;
+  /// Per-tenant windowed-only series; null unless options_.tenant_id is set.
+  metrics::Counter* tenant_requests_ = nullptr;
+  metrics::Counter* tenant_shed_ = nullptr;
+  metrics::Histogram* tenant_latency_ = nullptr;
 
   /// Declared last: its destructor drains queued tasks, which still touch
   /// the members above. Null when running on an external pool (the

@@ -27,9 +27,6 @@ namespace qps {
 namespace metrics {
 class Counter;
 }  // namespace metrics
-namespace obs {
-class WindowedCounter;
-}  // namespace obs
 
 namespace serve {
 
@@ -37,10 +34,9 @@ namespace serve {
 /// loops: worker-side in PlanService::RunRequest and caller-side in
 /// ShardedPlanService::Submit.
 struct RetryMetrics {
-  metrics::Counter* attempts;
+  metrics::Counter* attempts;  ///< cumulative and windowed
   metrics::Counter* exhausted;
   metrics::Counter* success;
-  obs::WindowedCounter* attempts_window;
 
   static const RetryMetrics& Get();
 };

@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "obs/window.h"
 #include "util/fault.h"
 #include "util/metrics.h"
 #include "util/timer.h"
@@ -265,7 +264,6 @@ std::future<StatusOr<core::PlanResult>> ShardedPlanService::Submit(
       return ReadyFuture(std::move(failure));
     }
     RetryMetrics::Get().attempts->Increment();
-    RetryMetrics::Get().attempts_window->Increment();
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(backoff_ms));
   }
@@ -274,14 +272,15 @@ std::future<StatusOr<core::PlanResult>> ShardedPlanService::Submit(
 void ShardedPlanService::RecordQError(const std::string& tenant_id,
                                       double qerror) {
   if (!registry_.Contains(tenant_id)) return;
-  obs::WindowedHistogram* window = nullptr;
+  metrics::Histogram* window = nullptr;
   {
     std::lock_guard<std::mutex> lock(qerr_mu_);
     auto it = qerr_windows_.find(tenant_id);
     if (it == qerr_windows_.end()) {
       it = qerr_windows_
-               .emplace(tenant_id, obs::WindowRegistry::Global().GetHistogram(
-                                       "qps.tenant.qerr." + tenant_id))
+               .emplace(tenant_id, metrics::Registry::Global().GetHistogram(
+                                       "qps.tenant.qerr." + tenant_id,
+                                       metrics::Series::kWindowed))
                .first;
     }
     window = it->second;

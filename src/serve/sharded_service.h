@@ -177,7 +177,7 @@ class ShardedPlanService {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex qerr_mu_;
-  std::map<std::string, obs::WindowedHistogram*> qerr_windows_;
+  std::map<std::string, metrics::Histogram*> qerr_windows_;
 };
 
 }  // namespace serve

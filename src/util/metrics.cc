@@ -2,9 +2,12 @@
 
 #include "util/metrics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+
+#include "util/json_format.h"
 
 namespace qps {
 namespace metrics {
@@ -34,34 +37,124 @@ void AtomicAddDouble(std::atomic<uint64_t>* bits, double delta) {
   }
 }
 
-std::string FormatDouble(double v) {
-  if (!std::isfinite(v)) return "0";  // keep the JSON valid
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-/// Minimal JSON string escaping (metric names are dotted identifiers, but
-/// stay safe for arbitrary input).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
+bool Has(Series set, Series member) {
+  return (static_cast<int>(set) & static_cast<int>(member)) != 0;
 }
 
 }  // namespace
+
+// ---- Window -------------------------------------------------------------
+
+template <typename T>
+class Window {
+ public:
+  explicit Window(const WindowOptions& opts)
+      : slots_(static_cast<size_t>(std::max(1, opts.slots))),
+        width_ns_(std::max<int64_t>(
+            1'000'000, static_cast<int64_t>(opts.slot_width_ms * 1e6))),
+        clock_(opts.clock != nullptr ? opts.clock : Clock::Default()),
+        created_ns_(clock_->NowNanos()) {}
+
+  /// The slot for the current epoch, zeroed first if it still holds an
+  /// older one. The rotation's CAS winner does the zeroing; a write racing
+  /// into the gap between claim and zeroing is lost (bounded skew).
+  T& Live() {
+    const int64_t epoch = clock_->NowNanos() / width_ns_;
+    Slot& slot = slots_[static_cast<size_t>(epoch % num_slots())];
+    int64_t seen = slot.epoch.load(std::memory_order_relaxed);
+    if (seen != epoch && slot.epoch.compare_exchange_strong(
+                             seen, epoch, std::memory_order_relaxed)) {
+      slot.series.Reset();
+    }
+    return slot.series;
+  }
+
+  /// Calls `fn(const T&)` for every slot whose epoch is inside the window.
+  template <typename Fn>
+  void ForEachLive(Fn&& fn) const {
+    const int64_t epoch = clock_->NowNanos() / width_ns_;
+    for (const Slot& slot : slots_) {
+      const int64_t slot_epoch = slot.epoch.load(std::memory_order_relaxed);
+      if (slot_epoch > epoch - num_slots() && slot_epoch <= epoch) {
+        fn(slot.series);
+      }
+    }
+  }
+
+  /// `events` per second of the covered span: the window span once the
+  /// ring is warm, the window's lifetime before that.
+  double Rate(double events) const {
+    const double lifetime_ns =
+        static_cast<double>(clock_->NowNanos() - created_ns_);
+    const double span_ns =
+        static_cast<double>(num_slots()) * static_cast<double>(width_ns_);
+    const double covered_s = std::min(span_ns, lifetime_ns) * 1e-9;
+    return covered_s > 0.0 ? events / covered_s : 0.0;
+  }
+
+ private:
+  struct Slot {
+    std::atomic<int64_t> epoch{-1};
+    T series;  ///< cumulative-only: a ring slot holds no window itself
+  };
+
+  int64_t num_slots() const { return static_cast<int64_t>(slots_.size()); }
+
+  std::vector<Slot> slots_;
+  const int64_t width_ns_;
+  const Clock* const clock_;
+  const int64_t created_ns_;
+};
+
+namespace internal {
+
+template <typename T>
+Feeds<T>::Feeds(Series series, const WindowOptions& window)
+    : cumulative_(Has(series, Series::kCumulative)) {
+  Add(series, window);
+}
+
+template <typename T>
+Feeds<T>::~Feeds() {
+  delete window_.load(std::memory_order_relaxed);
+}
+
+template <typename T>
+void Feeds<T>::Add(Series series, const WindowOptions& window) {
+  if (Has(series, Series::kCumulative)) {
+    cumulative_.store(true, std::memory_order_relaxed);
+  }
+  if (Has(series, Series::kWindowed) &&
+      window_.load(std::memory_order_relaxed) == nullptr) {
+    window_.store(new Window<T>(window), std::memory_order_release);
+  }
+}
+
+template class Feeds<Counter>;
+template class Feeds<Histogram>;
+
+}  // namespace internal
+
+// ---- Counter / Gauge / Histogram ----------------------------------------
+
+void Counter::IncrementWindow(int64_t delta) {
+  feeds_.window()->Live().Increment(delta);
+}
+
+int64_t Counter::window_total() const {
+  int64_t total = 0;
+  if (const Window<Counter>* window = feeds_.window()) {
+    window->ForEachLive([&](const Counter& slot) { total += slot.value(); });
+  }
+  return total;
+}
+
+double Counter::window_rate() const {
+  const Window<Counter>* window = feeds_.window();
+  return window != nullptr
+             ? window->Rate(static_cast<double>(window_total()))
+             : 0.0;
+}
 
 uint64_t Gauge::Encode(double v) { return DoubleBits(v); }
 double Gauge::Decode(uint64_t bits) { return BitsDouble(bits); }
@@ -73,6 +166,9 @@ double Histogram::BucketUpperBound(int i) {
 
 void Histogram::Record(double value_ms) {
   if (std::isnan(value_ms)) return;
+  const bool cumulative = feeds_.cumulative();
+  Window<Histogram>* window = WindowedEnabled() ? feeds_.window() : nullptr;
+  if (!cumulative && window == nullptr) return;
   int bucket = kNumBuckets;  // overflow
   for (int i = 0; i < kNumBuckets; ++i) {
     if (value_ms < BucketUpperBound(i)) {
@@ -80,6 +176,11 @@ void Histogram::Record(double value_ms) {
       break;
     }
   }
+  if (cumulative) Add(bucket, value_ms);
+  if (window != nullptr) window->Live().Add(bucket, value_ms);
+}
+
+void Histogram::Add(int bucket, double value_ms) {
   buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   AtomicAddDouble(&sum_bits_, value_ms);
@@ -93,6 +194,31 @@ void Histogram::Reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_bits_.store(0, std::memory_order_relaxed);
+}
+
+void Histogram::MergeInto(HistogramSnapshot* out) const {
+  out->buckets.resize(kNumBuckets + 1, 0);
+  for (int i = 0; i <= kNumBuckets; ++i) {
+    out->buckets[static_cast<size_t>(i)] += bucket_count(i);
+  }
+  out->count += count();
+  out->sum += sum();
+}
+
+HistogramSnapshot Histogram::SnapshotWindow() const {
+  HistogramSnapshot out;
+  out.buckets.assign(kNumBuckets + 1, 0);
+  if (const Window<Histogram>* window = feeds_.window()) {
+    window->ForEachLive([&](const Histogram& slot) { slot.MergeInto(&out); });
+  }
+  return out;
+}
+
+double Histogram::window_rate() const {
+  const Window<Histogram>* window = feeds_.window();
+  return window != nullptr
+             ? window->Rate(static_cast<double>(SnapshotWindow().count))
+             : 0.0;
 }
 
 double HistogramSnapshot::Percentile(double p) const {
@@ -115,15 +241,21 @@ double HistogramSnapshot::Percentile(double p) const {
   return Histogram::BucketUpperBound(Histogram::kNumBuckets - 1);
 }
 
+// ---- Registry -----------------------------------------------------------
+
 Registry& Registry::Global() {
   static Registry* registry = new Registry();
   return *registry;
 }
 
-Counter* Registry::GetCounter(const std::string& name) {
+Counter* Registry::GetCounter(const std::string& name, Series series) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
+  if (slot == nullptr) {
+    slot = std::make_unique<Counter>(series, window_);
+  } else {
+    slot->feeds_.Add(series, window_);
+  }
   return slot.get();
 }
 
@@ -134,10 +266,14 @@ Gauge* Registry::GetGauge(const std::string& name) {
   return slot.get();
 }
 
-Histogram* Registry::GetHistogram(const std::string& name) {
+Histogram* Registry::GetHistogram(const std::string& name, Series series) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
+  if (slot == nullptr) {
+    slot = std::make_unique<Histogram>(series, window_);
+  } else {
+    slot->feeds_.Add(series, window_);
+  }
   return slot.get();
 }
 
@@ -145,20 +281,31 @@ Snapshot Registry::TakeSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
   for (const auto& [name, counter] : counters_) {
-    snap.counters.emplace_back(name, counter->value());
+    if (counter->cumulative()) {
+      snap.counters.emplace_back(name, counter->value());
+    }
+    if (counter->windowed()) {
+      snap.window_counters.push_back(
+          {name, counter->window_total(), counter->window_rate()});
+    }
   }
   for (const auto& [name, gauge] : gauges_) {
     snap.gauges.emplace_back(name, gauge->value());
   }
   for (const auto& [name, hist] : histograms_) {
-    HistogramSnapshot hs;
-    hs.name = name;
-    hs.count = hist->count();
-    hs.sum = hist->sum();
-    for (int i = 0; i <= Histogram::kNumBuckets; ++i) {
-      hs.buckets.push_back(hist->bucket_count(i));
+    if (hist->cumulative()) {
+      HistogramSnapshot hs;
+      hs.name = name;
+      hist->MergeInto(&hs);
+      snap.histograms.push_back(std::move(hs));
     }
-    snap.histograms.push_back(std::move(hs));
+    if (hist->windowed()) {
+      Snapshot::WindowHistogram view;
+      view.hist = hist->SnapshotWindow();
+      view.hist.name = name;
+      view.rate_per_sec = hist->window_rate();
+      snap.window_histograms.push_back(std::move(view));
+    }
   }
   return snap;
 }
@@ -169,6 +316,8 @@ void Registry::ResetAll() {
   for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, hist] : histograms_) hist->Reset();
 }
+
+// ---- Rendering ----------------------------------------------------------
 
 std::string RenderText(const Snapshot& snapshot) {
   std::string out;
@@ -206,7 +355,7 @@ std::string RenderJson(const Snapshot& snapshot) {
   for (const auto& [name, value] : snapshot.gauges) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + JsonEscape(name) + "\":" + FormatDouble(value);
+    out += "\"" + JsonEscape(name) + "\":" + JsonNumber(value);
   }
   out += "},\"histograms\":{";
   first = true;
@@ -214,18 +363,18 @@ std::string RenderJson(const Snapshot& snapshot) {
     if (!first) out += ",";
     first = false;
     out += "\"" + JsonEscape(h.name) + "\":{\"count\":" + std::to_string(h.count) +
-           ",\"sum\":" + FormatDouble(h.sum) +
-           ",\"mean\":" + FormatDouble(h.mean()) +
-           ",\"p50\":" + FormatDouble(h.Percentile(50)) +
-           ",\"p90\":" + FormatDouble(h.Percentile(90)) +
-           ",\"p99\":" + FormatDouble(h.Percentile(99));
+           ",\"sum\":" + JsonNumber(h.sum) +
+           ",\"mean\":" + JsonNumber(h.mean()) +
+           ",\"p50\":" + JsonNumber(h.Percentile(50)) +
+           ",\"p90\":" + JsonNumber(h.Percentile(90)) +
+           ",\"p99\":" + JsonNumber(h.Percentile(99));
     // Raw bucket counts plus their finite upper bounds (the final bucket
     // is the overflow), so scrapers and BENCH_*.json consumers re-derive
     // percentiles exactly instead of trusting the summary above.
     out += ",\"le\":[";
     for (int i = 0; i < Histogram::kNumBuckets; ++i) {
       if (i > 0) out += ",";
-      out += FormatDouble(Histogram::BucketUpperBound(i));
+      out += JsonNumber(Histogram::BucketUpperBound(i));
     }
     out += "],\"buckets\":[";
     for (size_t i = 0; i < h.buckets.size(); ++i) {

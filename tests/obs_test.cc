@@ -1,11 +1,9 @@
 // Copyright 2026 The QPSeeker Authors
 //
-// Observability layer: windowed counters/histograms (rotation, expiry,
-// rates, the disabled fast path, and concurrency exactness — this test
-// binary is in the TSan stage of tier1.sh), the accuracy/drift tracker
-// (quantiles, EWMA baseline, drift injection), the Prometheus exposition
-// round-trip, the obs JSON document + snapshot writer, the audit log
-// schema, and the qps_top board rendering.
+// Observability layer: the accuracy/drift tracker (quantiles, EWMA
+// baseline, drift injection), the Prometheus exposition round-trip, the obs
+// JSON document + snapshot writer, the audit log schema, and the qps_top
+// board rendering. This test binary is in the TSan stage of tier1.sh.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +21,6 @@
 #include "obs/export.h"
 #include "obs/json_reader.h"
 #include "obs/top.h"
-#include "obs/window.h"
 #include "util/clock.h"
 #include "util/io.h"
 #include "util/metrics.h"
@@ -35,218 +32,6 @@ namespace {
 std::string TempPath(const std::string& name) {
   const char* tmp = std::getenv("TMPDIR");
   return std::string(tmp != nullptr ? tmp : "/tmp") + "/" + name;
-}
-
-/// Clock wrapper counting NowNanos calls, to prove the disabled hot path
-/// never reads the clock.
-class CountingClock final : public Clock {
- public:
-  int64_t NowNanos() const override {
-    calls.fetch_add(1, std::memory_order_relaxed);
-    return inner.NowNanos();
-  }
-  ManualClock inner;
-  mutable std::atomic<int64_t> calls{0};
-};
-
-// ---- Windowed metrics ---------------------------------------------------
-
-TEST(WindowedCounterTest, AccumulatesWithinOneSlot) {
-  ManualClock clock;
-  WindowOptions opts;
-  opts.slots = 4;
-  opts.slot_width_ms = 1000.0;
-  opts.clock = &clock;
-  WindowedCounter counter(opts);
-  counter.Increment();
-  counter.Increment(4);
-  EXPECT_EQ(counter.Total(), 5);
-}
-
-TEST(WindowedCounterTest, OldSlotsAgeOutOfTheWindow) {
-  ManualClock clock;
-  WindowOptions opts;
-  opts.slots = 3;
-  opts.slot_width_ms = 1000.0;
-  opts.clock = &clock;
-  WindowedCounter counter(opts);
-
-  counter.Increment(10);  // slot epoch 0
-  clock.AdvanceMillis(1000.0);
-  counter.Increment(20);  // epoch 1
-  clock.AdvanceMillis(1000.0);
-  counter.Increment(30);  // epoch 2
-  EXPECT_EQ(counter.Total(), 60);  // all three slots live
-
-  clock.AdvanceMillis(1000.0);  // epoch 3: epoch-0 slot falls out
-  EXPECT_EQ(counter.Total(), 50);
-  clock.AdvanceMillis(2000.0);  // epoch 5: only epoch >= 3 would survive
-  EXPECT_EQ(counter.Total(), 0);
-}
-
-TEST(WindowedCounterTest, RotationReclaimsTheRingSlot) {
-  ManualClock clock;
-  WindowOptions opts;
-  opts.slots = 2;
-  opts.slot_width_ms = 1000.0;
-  opts.clock = &clock;
-  WindowedCounter counter(opts);
-
-  counter.Increment(7);  // epoch 0 -> ring slot 0
-  clock.AdvanceMillis(2000.0);
-  counter.Increment(1);  // epoch 2 -> ring slot 0 again: must zero first
-  EXPECT_EQ(counter.Total(), 1);
-}
-
-TEST(WindowedCounterTest, RatePerSecUsesLifetimeUntilWarm) {
-  ManualClock clock;
-  WindowOptions opts;
-  opts.slots = 10;
-  opts.slot_width_ms = 1000.0;  // 10 s window
-  opts.clock = &clock;
-  WindowedCounter counter(opts);
-
-  counter.Increment(100);
-  clock.AdvanceMillis(2000.0);
-  // 100 events over 2 s of lifetime, not over the 10 s window span.
-  EXPECT_NEAR(counter.RatePerSec(), 50.0, 1e-9);
-
-  clock.AdvanceMillis(20000.0);  // past the window: events expired
-  EXPECT_NEAR(counter.RatePerSec(), 0.0, 1e-9);
-}
-
-TEST(WindowedCounterTest, DisabledPathSkipsTheClockEntirely) {
-  CountingClock clock;
-  WindowOptions opts;
-  opts.clock = &clock;
-  WindowedCounter counter(opts);  // constructor reads the clock once
-  const int64_t calls_after_ctor = clock.calls.load();
-
-  SetWindowedEnabled(false);
-  for (int i = 0; i < 1000; ++i) counter.Increment();
-  SetWindowedEnabled(true);
-
-  EXPECT_EQ(clock.calls.load(), calls_after_ctor);
-  EXPECT_EQ(counter.Total(), 0);
-}
-
-TEST(WindowedCounterTest, ConcurrentIncrementsAtFixedTimeSumExactly) {
-  // With a pinned clock no rotation happens, so the relaxed adds must sum
-  // exactly — this is the TSan-visible hot path.
-  ManualClock clock;
-  WindowOptions opts;
-  opts.clock = &clock;
-  WindowedCounter counter(opts);
-
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 20'000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&counter] {
-      for (int i = 0; i < kPerThread; ++i) counter.Increment();
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(counter.Total(), int64_t{kThreads} * kPerThread);
-}
-
-TEST(WindowedCounterTest, ConcurrentIncrementsAcrossRotationStayBounded) {
-  // Threads increment while another thread advances the clock through many
-  // slot boundaries. Rotation may drop a bounded number of samples (the
-  // documented skew) but must never produce *extra* counts, crash, or race.
-  ManualClock clock;
-  WindowOptions opts;
-  opts.slots = 4;
-  opts.slot_width_ms = 1.0;
-  opts.clock = &clock;
-  WindowedCounter counter(opts);
-
-  std::atomic<bool> stop{false};
-  std::atomic<int64_t> attempted{0};
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        counter.Increment();
-        attempted.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (int i = 0; i < 200; ++i) clock.AdvanceMillis(1.0);
-  stop.store(true);
-  for (auto& th : threads) th.join();
-
-  EXPECT_LE(counter.Total(), attempted.load());
-  EXPECT_GE(counter.Total(), 0);
-}
-
-TEST(WindowedHistogramTest, WindowPercentilesTrackRecentRecordsOnly) {
-  ManualClock clock;
-  WindowOptions opts;
-  opts.slots = 3;
-  opts.slot_width_ms = 1000.0;
-  opts.clock = &clock;
-  WindowedHistogram hist(opts);
-
-  for (int i = 0; i < 100; ++i) hist.Record(1.0);  // epoch 0
-  EXPECT_EQ(hist.Count(), 100);
-  const double p50_fast = hist.Percentile(50.0);
-  EXPECT_GT(p50_fast, 0.5);
-  EXPECT_LE(p50_fast, 2.0);
-
-  // Three slots later the 1 ms population is gone; only the slow tail
-  // recorded now remains.
-  clock.AdvanceMillis(3000.0);
-  for (int i = 0; i < 10; ++i) hist.Record(500.0);
-  EXPECT_EQ(hist.Count(), 10);
-  EXPECT_GT(hist.Percentile(50.0), 100.0);
-}
-
-TEST(WindowedHistogramTest, ConcurrentRecordsAtFixedTimeStayExact) {
-  ManualClock clock;
-  WindowOptions opts;
-  opts.clock = &clock;
-  WindowedHistogram hist(opts);
-
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 10'000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&hist] {
-      for (int i = 0; i < kPerThread; ++i) hist.Record(1.0);
-    });
-  }
-  for (auto& th : threads) th.join();
-  const metrics::HistogramSnapshot snap = hist.SnapshotWindow();
-  EXPECT_EQ(snap.count, int64_t{kThreads} * kPerThread);
-  EXPECT_DOUBLE_EQ(snap.sum, static_cast<double>(kThreads) * kPerThread);
-}
-
-TEST(WindowRegistryTest, SameNameReturnsSamePointerAndSnapshotsAll) {
-  auto& reg = WindowRegistry::Global();
-  WindowedCounter* a = reg.GetCounter("qps.test.window_counter");
-  WindowedCounter* b = reg.GetCounter("qps.test.window_counter");
-  EXPECT_EQ(a, b);
-  a->Increment(3);
-  reg.GetHistogram("qps.test.window_hist")->Record(1.0);
-
-  const WindowSnapshot snap = reg.TakeSnapshot();
-  bool saw_counter = false, saw_hist = false;
-  for (const auto& c : snap.counters) {
-    if (c.name == "qps.test.window_counter") {
-      saw_counter = true;
-      EXPECT_GE(c.total, 3);
-    }
-  }
-  for (const auto& h : snap.histograms) {
-    if (h.name == "qps.test.window_hist") {
-      saw_hist = true;
-      EXPECT_GE(h.hist.count, 1);
-    }
-  }
-  EXPECT_TRUE(saw_counter);
-  EXPECT_TRUE(saw_hist);
 }
 
 // ---- Accuracy / drift ---------------------------------------------------
@@ -445,14 +230,14 @@ TEST(PrometheusTest, RoundTripPreservesValuesExactly) {
   }
 }
 
-TEST(PrometheusTest, WindowSnapshotExportsRatesAndPercentiles) {
-  auto& win = WindowRegistry::Global();
-  win.GetCounter("qps.test.prom_window")->Increment(5);
-  win.GetHistogram("qps.test.prom_window_hist")->Record(4.0);
+TEST(PrometheusTest, WindowSeriesExportRatesAndPercentiles) {
+  auto& reg = metrics::Registry::Global();
+  reg.GetCounter("qps.test.prom_window", metrics::Series::kWindowed)
+      ->Increment(5);
+  reg.GetHistogram("qps.test.prom_window_hist", metrics::Series::kWindowed)
+      ->Record(4.0);
 
-  metrics::Snapshot empty;
-  const WindowSnapshot wsnap = win.TakeSnapshot();
-  const std::string text = RenderPrometheus(empty, &wsnap);
+  const std::string text = RenderPrometheus(reg.TakeSnapshot());
   auto parsed = ParsePrometheus(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
 
@@ -496,8 +281,9 @@ TEST(JsonReaderTest, RejectsMalformedDocuments) {
 // ---- Obs JSON document + snapshot writer --------------------------------
 
 TEST(ObsJsonTest, DocumentParsesAndCarriesEverySection) {
-  metrics::Registry::Global().GetCounter("qps.test.obsjson")->Increment();
-  WindowRegistry::Global().GetCounter("qps.test.obsjson")->Increment();
+  metrics::Registry::Global()
+      .GetCounter("qps.test.obsjson", metrics::Series::kBoth)
+      ->Increment();
 
   const std::string json = RenderObsJson(7);
   auto doc = ParseJson(json);
